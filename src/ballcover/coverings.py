@@ -78,6 +78,8 @@ class BallCovering:
         object.__setattr__(self, "radius", float(self.radius))
         if c.shape[0] < 1 or c.shape[1] != self.space.d:
             raise ValueError(f"expected (N, {self.space.d}) centers, got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("centers must be finite")
         if not 0.0 < self.radius <= 1.0:
             raise ValueError(f"radius must lie in (0, 1], got {self.radius}")
 

@@ -131,6 +131,8 @@ def greedy_maximal_dictionary(
         raise ValueError("greedy construction requires 1 < p < inf")
     if saturation_trials < 1:
         raise ValueError("saturation_trials must be positive")
+    from .verify import nearest  # deferred: verify imports this module
+
     euclidean = space.p == 2.0
     rng = np.random.default_rng(seed)
     vecs: list[np.ndarray] = []
@@ -144,14 +146,14 @@ def greedy_maximal_dictionary(
             admit = True
         else:
             v = np.asarray(vecs)
-            if float(np.min(norms(space, v - x[None, :]))) < DUPLICATE_TOL:
-                admit = False
-            elif euclidean:
+            if euclidean:
                 admit = float(np.max(np.abs(v @ x))) <= mu
             else:
                 fx = norming_coords(space, x[None, :])[0]
                 w = np.asarray(funcs)
                 admit = float(np.max(np.abs(v @ fx))) <= mu and float(np.max(np.abs(w @ x))) <= mu
+            # the duplicate scan runs only on the few candidates the coherence test admits
+            admit = admit and nearest(space, x, v)[1][0] >= DUPLICATE_TOL
         if admit:
             vecs.append(x)
             if not euclidean:

@@ -24,6 +24,7 @@ __all__ = [
     "VertexCoverReport",
     "MaximalityRepairError",
     "check_point",
+    "nearest",
     "min_distances",
     "certify_sampling",
     "adversarial_search",
@@ -38,25 +39,82 @@ __all__ = [
 
 PASS_TOL = 1e-12
 ADVERSARIAL_TOL = 1e-9
-_CHUNK_ENTRIES = 2_000_000
+# float64 entries per block of the nearest-center kernel, so that a block's
+# temporaries fit together in a 2 MiB L2 cache
+_BLOCK_ENTRIES = 1 << 18
 
 
-def _pairwise(space: LpSpace, xs: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    if math.isinf(space.p):
-        return cdist(xs, centers, metric="chebyshev")
-    return cdist(xs, centers, metric="minkowski", p=space.p)
+def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
+    """Index of and lp distance to the nearest center, for each row of xs.
+
+    Ties break to the lowest index. Rows go through in blocks whose
+    temporaries together fit in the L2 cache. For p = 2 one GEMM score
+    |c|^2 - 2 x.c selects the center, and the distance is then computed
+    directly from x - c, so the cancellation in the score never reaches a
+    margin. For other finite p the power sums sum_k |x_k - c_k|^p are
+    accumulated one coordinate at a time and compared, and the root is
+    taken once per row. For p = inf the block goes through cdist's
+    Chebyshev distance.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    (n, d), m = xs.shape, centers.shape[0]
+    if m < 1 or centers.shape[1] != d:
+        raise ValueError(f"need (m >= 1, {d}) centers, got {centers.shape}")
+    p = space.p
+    if math.isinf(p):
+        width = m  # cdist's distances
+    elif p == 2.0:
+        width = m + d  # scores, then the differences to the selected centers
+        sq = np.einsum("ij,ij->i", centers, centers)
+    else:
+        width = 2 * m  # power sums and one term
+    rows = max(1, min(n, _BLOCK_ENTRIES // width))
+    if math.isfinite(p):
+        coords = np.ascontiguousarray(centers.T)
+        buf = np.empty((rows, m))  # scores for p = 2, else power sums
+        term = None if p == 2.0 else np.empty_like(buf)
+    index = np.empty(n, dtype=np.intp)
+    dist = np.empty(n)
+    for lo in range(0, n, rows):
+        x = xs[lo : lo + rows]
+        r = x.shape[0]
+        i = index[lo : lo + r]
+        if math.isinf(p):
+            block = cdist(x, centers, metric="chebyshev")
+            i[:] = block.argmin(axis=1)
+            dist[lo : lo + r] = block[np.arange(r), i]
+        elif p == 2.0:
+            score = np.matmul(x, coords, out=buf[:r])
+            score *= -2.0
+            score += sq
+            i[:] = score.argmin(axis=1)
+            # coordinates along axis 0, so that the sum runs in coordinate order as cdist's does
+            diff = coords.take(i, axis=1)
+            diff -= x.T
+            diff *= diff
+            dist[lo : lo + r] = np.sqrt(np.add.reduce(diff, axis=0))
+        else:
+            sums, t = buf[:r], term[:r]
+            sums.fill(0.0)
+            for k in range(d):
+                np.subtract(x[:, k, None], coords[k], out=t)
+                if p == 4.0:
+                    np.square(t, out=t)
+                    np.square(t, out=t)
+                else:
+                    np.abs(t, out=t)
+                    np.power(t, p, out=t)
+                sums += t
+            i[:] = sums.argmin(axis=1)
+            dist[lo : lo + r] = sums[np.arange(r), i] ** (1.0 / p)
+    return index, dist
 
 
 def min_distances(cov: BallCovering, xs) -> np.ndarray:
-    """Distance from each row of xs to its nearest center, chunked for memory."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    n_centers = len(cov)
-    chunk = max(1, _CHUNK_ENTRIES // n_centers)
-    out = np.empty(xs.shape[0])
-    for lo in range(0, xs.shape[0], chunk):
-        hi = min(lo + chunk, xs.shape[0])
-        out[lo:hi] = _pairwise(cov.space, xs[lo:hi], cov.centers).min(axis=1)
-    return out
+    """Distance from each row of xs to its nearest center of cov, as nearest()
+    computes it: never from the p = 2 selection score, always from x - c."""
+    return nearest(cov.space, xs, cov.centers)[1]
 
 
 def check_point(cov: BallCovering, x) -> float:
@@ -99,7 +157,8 @@ def certify_sampling(cov: BallCovering, n_ball: int, n_sphere: int, seed: int) -
     xs = np.vstack(parts)
     margins = cov.radius - min_distances(cov, xs)
     worst = float(np.min(margins))
-    bad = margins < -PASS_TOL if cov.closed else margins <= 0.0
+    # phrased so that a NaN margin fails
+    bad = ~(margins >= -PASS_TOL) if cov.closed else ~(margins > 0.0)
     any_bad = bool(bad.any())
     return CoverageReport(
         samples_tested=xs.shape[0],
@@ -133,14 +192,12 @@ def _ascend(cov: BallCovering, restarts: int, steps: int, seed: int):
     space = cov.space
     x = sphere_from_rng(space, restarts, np.random.default_rng(seed))
     best_pts = x.copy()
-    best_vals = min_distances(cov, x)
+    index, best_vals = nearest(space, x, cov.centers)
     for step in range(1, steps + 1):
-        dists = _pairwise(space, x, cov.centers)
-        nearest = np.argmin(dists, axis=1)
-        grad = _norm_gradient(space, x - cov.centers[nearest])
+        grad = _norm_gradient(space, x - cov.centers[index])
         x = x + (0.1 / math.sqrt(step)) * grad
         x = x / norms(space, x)[:, None]
-        vals = min_distances(cov, x)
+        index, vals = nearest(space, x, cov.centers)
         improved = vals > best_vals
         best_vals[improved] = vals[improved]
         best_pts[improved] = x[improved]
@@ -153,7 +210,9 @@ def adversarial_search(
     """Projected subgradient ascent of x -> min_j ||x - c_j|| over the unit sphere.
 
     Returns (point, margin): the sphere point with the largest min-distance
-    found and its signed margin radius - distance. Step size 0.1/sqrt(step);
+    found and its signed margin radius - distance. Step size 0.1/sqrt(step).
+    Each step makes one nearest() query: its distances score the new points
+    and its indices give the centers the next step moves away from;
     nearest-center ties break to the lowest index.
     """
     if restarts < 1 or steps < 1:
@@ -232,9 +291,9 @@ def uncovered_witness(space: LpSpace, centers) -> np.ndarray:
         raise RuntimeError("neither sign of the witness separates from the affine hull")
     if abs(norm(space, z) - 1.0) > 1e-12:
         raise RuntimeError("witness lost unit norm")
-    nearest = float(np.min(norms(space, z[None, :] - c)))
-    if nearest < 1.0 - 1e-9:
-        raise RuntimeError(f"witness construction failed: nearest center at distance {nearest}")
+    closest = float(np.min(norms(space, z[None, :] - c)))
+    if closest < 1.0 - 1e-9:
+        raise RuntimeError(f"witness construction failed: nearest center at distance {closest}")
     if space.p == 2.0 and affine_hull_distance(z, c) < 1.0 - 1e-9:
         raise RuntimeError("witness sits too close to the affine hull")
     return z

@@ -83,6 +83,17 @@ def test_cover_verify_fails_on_shrunken_radius(tmp_path):
     assert main(["cover", "verify", "--in", str(broken), "--samples", "2000", "--seed", "7"]) == 2
 
 
+def test_cover_verify_rejects_nan_center(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"space": {"d": 2, "p": 2}, "centers": [[NaN, 0.0]], "radius": 0.5, '
+        '"closed": true, "provenance": "nan"}'
+    )
+    out = tmp_path / "report.json"
+    assert main(["cover", "verify", "--in", str(path), "--out", str(out)]) != 0
+    assert not out.exists()
+
+
 def test_cover_build_iterated_roundtrip(tmp_path):
     cover_path = tmp_path / "it.json"
     assert main(

@@ -287,6 +287,9 @@ def test_covering_validation():
         BallCovering(space, [[0.0, 0.0, 0.0]], 0.5, True, "bad shape")
     with pytest.raises(ValueError):
         BallCovering(space, [[5.0, 0.0]], 0.5, True, "unreachable").check_reach()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BallCovering(space, [[bad, 0.0]], 0.5, True, "non-finite")
 
 
 def test_margin_validation():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from ballcover.coverings import (
     BallCovering,
@@ -15,6 +16,7 @@ from ballcover.frames import etf_from_hadamard
 from ballcover.hadamard import sylvester
 from ballcover.spaces import LpSpace, ball_from_rng, norm, norms, sample_sphere
 from ballcover.verify import (
+    _BLOCK_ENTRIES,
     MaximalityRepairError,
     adversarial_search,
     affine_hull_distance,
@@ -23,10 +25,65 @@ from ballcover.verify import (
     check_point,
     harden_dictionary,
     linf_vertex_check,
+    nearest,
     select_positive_entry,
     simplex_dichotomy_check,
     uncovered_witness,
 )
+
+
+def _cdist(p, xs, centers):
+    if math.isinf(p):
+        return cdist(xs, centers, metric="chebyshev")
+    return cdist(xs, centers, metric="minkowski", p=p)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 3.5, 4.0, math.inf])
+def test_nearest_matches_cdist(p):
+    rng = np.random.default_rng(70)
+    d, m = 6, 50
+    centers = rng.standard_normal((m, d))
+    # at least two full blocks on every path, then a partial last block
+    n = 2 * (_BLOCK_ENTRIES // m) + 7
+    xs = rng.standard_normal((n, d))
+    index, dist = nearest(LpSpace(d, p), xs, centers)
+    ref = _cdist(p, xs, centers)
+    best = ref.min(axis=1)
+    assert np.max(np.abs(dist - best) / best) <= 1e-14
+    two = np.sort(ref, axis=1)[:, :2]
+    clear = two[:, 1] - two[:, 0] > 1e-12
+    assert clear.mean() > 0.99
+    np.testing.assert_array_equal(index[clear], np.argmin(ref, axis=1)[clear])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0, math.inf])
+def test_nearest_tie_breaks_to_lowest_index(p):
+    index, dist = nearest(LpSpace(2, p), [[0.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]])
+    assert index[0] == 0
+    assert dist[0] == 1.0
+
+
+def test_nearest_euclidean_distance_free_of_cancellation():
+    # the GEMM score |c|^2 - 2 x.c loses about 1e-16 * |c|^2 absolute, which
+    # would swamp a distance of 1e-7; the returned distance must not
+    rng = np.random.default_rng(71)
+    d = 8
+    centers = rng.standard_normal((40, d))
+    centers *= 1.9 / np.linalg.norm(centers, axis=1)[:, None]
+    offsets = rng.standard_normal((30, d))
+    offsets *= rng.uniform(1e-9, 1e-7, size=(30, 1)) / np.linalg.norm(offsets, axis=1)[:, None]
+    xs = centers[:30] + offsets
+    index, dist = nearest(LpSpace(d, 2.0), xs, centers)
+    np.testing.assert_array_equal(index, np.arange(30))
+    best = cdist(xs, centers).min(axis=1)
+    assert np.max(np.abs(dist - best) / best) <= 1e-14
+
+
+def test_nearest_shape_errors():
+    with pytest.raises(ValueError):
+        nearest(LpSpace(2, 2.0), [[0.0, 0.0]], np.empty((0, 2)))
+    with pytest.raises(ValueError):
+        nearest(LpSpace(2, 2.0), [[0.0, 0.0]], [[0.0, 0.0, 0.0]])
 
 
 def test_check_point_simplex_origin():
@@ -68,6 +125,18 @@ def test_certify_sampling_detects_broken_cover():
     assert not report.passed
     assert report.failure_witness is not None
     assert report.worst_margin < -1e-12
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_certify_sampling_fails_on_nan_distance(closed, p):
+    # BallCovering rejects non-finite centers; a NaN that reaches the kernel
+    # anyway must fail the verdict, not pass it
+    cov = BallCovering(LpSpace(2, p), [[0.0, 0.0]], 1.0, closed, "nan")
+    cov.centers[0, 0] = np.nan
+    report = certify_sampling(cov, 100, 100, seed=62)
+    assert not report.passed
+    assert report.failure_witness is not None
 
 
 def test_certify_sampling_strict_open():
