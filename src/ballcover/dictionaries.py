@@ -38,8 +38,10 @@ class Dictionary:
         self.vectors = v
         if v.shape[0] < 1 or v.shape[1] != self.space.d:
             raise ValueError(f"expected (N, {self.space.d}) vectors with N >= 1, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vectors must be finite")
         dev = float(np.max(np.abs(norms(self.space, v) - 1.0)))
-        if dev > UNIT_NORM_TOL:
+        if not (dev <= UNIT_NORM_TOL):
             raise ValueError(f"vectors must be unit-norm: worst deviation {dev:.3e}")
         if np.unique(v, axis=0).shape[0] != v.shape[0]:
             raise ValueError("vectors must be pairwise distinct")
@@ -110,6 +112,68 @@ def coherence_matrix(d: Dictionary) -> CoherenceMatrix:
     return CoherenceMatrix(entries=c)
 
 
+class _Admission:
+    """Incumbents of an incoherent dictionary under construction, with the
+    scores of the admission test M(D) <= mu.
+
+    Holds the vectors and their norming functionals in preallocated arrays
+    that double when full; for p = 2 the functionals are the vectors
+    themselves. Candidates are scored in blocks: the one-sided score
+    max_g |F_x(g)| takes the candidates' functionals, the reverse score
+    max_g |F_g(x)| the candidates themselves. With no incumbents both are 0.
+    """
+
+    def __init__(self, space: LpSpace, mu: float, vectors=()):
+        if not space.smooth:
+            raise ValueError("dictionary admission requires 1 < p < inf")
+        if not 0.0 < mu < 1.0:
+            raise ValueError(f"mu must lie in (0, 1), got {mu}")
+        self.space = space
+        self.euclidean = space.p == 2.0
+        start = np.asarray(vectors, dtype=float).reshape(-1, space.d)
+        self.size = start.shape[0]
+        self._vecs = np.empty((max(64, 2 * self.size), space.d))
+        self._vecs[: self.size] = start
+        self._funcs = self._vecs if self.euclidean else np.empty_like(self._vecs)
+        if not self.euclidean:
+            self._funcs[: self.size] = norming_coords(space, start)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._vecs[: self.size]
+
+    def functionals(self, xs: np.ndarray) -> np.ndarray:
+        """Norming-functional coordinates of the rows of xs."""
+        return xs if self.euclidean else norming_coords(self.space, xs)
+
+    def one_sided(self, fxs: np.ndarray) -> np.ndarray:
+        """max_g |F_x(g)| for each candidate x, given its functional's coordinates."""
+        return np.max(np.abs(fxs @ self.vectors.T), axis=1, initial=0.0)
+
+    def reverse(self, xs: np.ndarray) -> np.ndarray:
+        """max_g |F_g(x)| for each candidate x."""
+        return np.max(np.abs(xs @ self._funcs[: self.size].T), axis=1, initial=0.0)
+
+    def add(self, x: np.ndarray, fx: np.ndarray) -> None:
+        """Admit x, whose functional has coordinates fx."""
+        if self.size == self._vecs.shape[0]:
+            self._vecs = np.concatenate([self._vecs, np.empty_like(self._vecs)])
+            if self.euclidean:
+                self._funcs = self._vecs
+            else:
+                self._funcs = np.concatenate([self._funcs, np.empty_like(self._funcs)])
+        self._vecs[self.size] = x
+        self._funcs[self.size] = fx
+        self.size += 1
+
+    def dictionary(self, trials_used: int | None) -> Dictionary:
+        return Dictionary(space=self.space, vectors=self.vectors.copy(), trials_used=trials_used)
+
+
+# candidates drawn and scored together by the greedy build
+GREEDY_BLOCK = 256
+
+
 def greedy_maximal_dictionary(
     space: LpSpace,
     mu: float,
@@ -121,50 +185,57 @@ def greedy_maximal_dictionary(
     A candidate x is admitted when every incumbent g keeps both |F_x(g)| and
     |F_g(x)| at or below mu (a single inner product when p = 2), so the
     coherence bound M(D) <= mu holds throughout; near-duplicates of an
-    incumbent are rejected. Construction stops after saturation_trials
+    incumbent are rejected. Candidates are drawn in blocks of GREEDY_BLOCK
+    and admitted in draw order: a block is scored against the incumbents
+    at once, and each admission folds its own scores into the rest of the
+    block, so every candidate meets the same test against every vector
+    admitted before it. Construction stops after saturation_trials
     consecutive rejections - a stopping heuristic, not a maximality proof;
-    certify_maximality probes the result empirically.
+    certify_maximality probes the result empirically. trials_used counts
+    the candidates examined, not the rest of the last block.
     """
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    if not space.smooth:
-        raise ValueError("greedy construction requires 1 < p < inf")
+    core = _Admission(space, mu)
     if saturation_trials < 1:
         raise ValueError("saturation_trials must be positive")
     from .verify import nearest  # deferred: verify imports this module
 
-    euclidean = space.p == 2.0
     rng = np.random.default_rng(seed)
-    vecs: list[np.ndarray] = []
-    funcs: list[np.ndarray] = []
     trials = 0
     rejected = 0
     while rejected < saturation_trials:
-        x = sphere_from_rng(space, 1, rng)[0]
-        trials += 1
-        if not vecs:
-            admit = True
-        else:
-            v = np.asarray(vecs)
-            if euclidean:
-                admit = float(np.max(np.abs(v @ x))) <= mu
-            else:
-                fx = norming_coords(space, x[None, :])[0]
-                w = np.asarray(funcs)
-                admit = float(np.max(np.abs(v @ fx))) <= mu and float(np.max(np.abs(w @ x))) <= mu
-            # the duplicate scan runs only on the few candidates the coherence test admits
-            admit = admit and nearest(space, x, v)[1][0] >= DUPLICATE_TOL
-        if admit:
-            vecs.append(x)
-            if not euclidean:
-                funcs.append(norming_coords(space, x[None, :])[0])
+        xs = sphere_from_rng(space, GREEDY_BLOCK, rng)
+        fxs = core.functionals(xs)
+        score = core.one_sided(fxs)
+        if not core.euclidean:
+            np.maximum(score, core.reverse(xs), out=score)
+        j = 0
+        while rejected < saturation_trials:
+            # jump to the next candidate that passes; the ones skipped are rejections
+            passing = np.flatnonzero(score[j:] <= mu)
+            skip = int(passing[0]) if passing.size else GREEDY_BLOCK - j
+            skip = min(skip, saturation_trials - rejected)
+            trials += skip
+            rejected += skip
+            j += skip
+            if j == GREEDY_BLOCK or rejected == saturation_trials:
+                break
+            x, fx = xs[j], fxs[j]
+            j += 1
+            trials += 1
+            if core.size and nearest(space, x, core.vectors)[1][0] < DUPLICATE_TOL:
+                rejected += 1
+                continue
+            core.add(x, fx)
             rejected = 0
-        else:
-            rejected += 1
-    out = Dictionary(space=space, vectors=np.asarray(vecs), trials_used=trials)
+            # fold the new vector into the scores of the rest of the block
+            rest = np.abs(fxs[j:] @ x)
+            if not core.euclidean:
+                np.maximum(rest, np.abs(xs[j:] @ fx), out=rest)
+            np.maximum(score[j:], rest, out=score[j:])
+    out = core.dictionary(trials)
     if len(out) >= 2:
-        # post-hoc recheck of the coherence invariant
-        m = coherence_euclidean(out) if euclidean else coherence_banach(out)
-        if m > mu + 1e-12:
+        # post-hoc recheck of the coherence invariant, phrased so that NaN fails
+        m = coherence_euclidean(out) if core.euclidean else coherence_banach(out)
+        if not (m <= mu + 1e-12):
             raise RuntimeError(f"greedy admission violated the coherence bound: {m} > {mu}")
     return out

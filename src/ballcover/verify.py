@@ -14,8 +14,8 @@ from scipy.linalg import null_space
 from scipy.spatial.distance import cdist
 
 from .coverings import BallCovering
-from .dictionaries import Dictionary, functional_matrix
-from .spaces import LpSpace, ball_from_rng, norm, norming_coords, norms, sphere_from_rng
+from .dictionaries import Dictionary, _Admission
+from .spaces import LpSpace, ball_from_rng, norm, norms, sphere_from_rng
 
 __all__ = [
     "PASS_TOL",
@@ -396,41 +396,34 @@ def certify_maximality(
     counterexample failing the two-sided admission test raises
     MaximalityRepairError: the dictionary cannot be repaired this way.
     """
-    space = dictionary.space
-    if not space.smooth:
-        raise ValueError("requires 1 < p < inf")
+    core = _Admission(dictionary.space, mu, dictionary.vectors)
     if n < 1:
         raise ValueError("need at least one sample")
-    euclidean = space.p == 2.0
     rng = np.random.default_rng(seed)
-    vectors = dictionary.vectors.copy()
-    funcs = None if euclidean else functional_matrix(dictionary).copy()
     clean = 0
     augmented = 0
     while clean < n:
         count = int(min(batch, n - clean))
-        xs = sphere_from_rng(space, count, rng)
-        fxs = xs if euclidean else norming_coords(space, xs)
-        largest = np.max(np.abs(fxs @ vectors.T), axis=1)
-        bad = np.nonzero(largest <= mu)[0]
+        xs = sphere_from_rng(core.space, count, rng)
+        fxs = core.functionals(xs)
+        bad = np.nonzero(core.one_sided(fxs) <= mu)[0]
         if bad.size == 0:
             clean += count
             continue
-        x = xs[int(bad[0])]
-        if not euclidean and float(np.max(np.abs(funcs @ x))) > mu:
+        i = int(bad[0])
+        x = xs[i]
+        if not core.euclidean and float(core.reverse(x[None, :])[0]) > mu:
             raise MaximalityRepairError(
                 "counterexample is not two-sided admissible; augmentation cannot repair this dictionary",
                 point=x,
-                dictionary=Dictionary(space=space, vectors=vectors, trials_used=dictionary.trials_used),
+                dictionary=core.dictionary(dictionary.trials_used),
             )
         if max_augmentations is not None and augmented >= max_augmentations:
-            return False, Dictionary(space=space, vectors=vectors, trials_used=dictionary.trials_used)
-        vectors = np.vstack([vectors, x[None, :]])
-        if not euclidean:
-            funcs = np.vstack([funcs, norming_coords(space, x[None, :])])
+            return False, core.dictionary(dictionary.trials_used)
+        core.add(x, fxs[i])
         augmented += 1
         clean = 0
-    return True, Dictionary(space=space, vectors=vectors, trials_used=dictionary.trials_used)
+    return True, core.dictionary(dictionary.trials_used)
 
 
 def harden_dictionary(
@@ -455,15 +448,10 @@ def harden_dictionary(
     consecutive searches with distinct seeds find no violation; returns
     (False, dictionary) if a violation is not admissible or rounds run out.
     """
-    space = dictionary.space
-    if not space.smooth:
-        raise ValueError("requires 1 < p < inf")
-    euclidean = space.p == 2.0
-    vectors = dictionary.vectors.copy()
-    funcs = None if euclidean else functional_matrix(dictionary).copy()
+    core = _Admission(dictionary.space, mu, dictionary.vectors)
     clean = 0
     for round_index in range(max_rounds):
-        current = Dictionary(space=space, vectors=vectors, trials_used=dictionary.trials_used)
+        current = core.dictionary(dictionary.trials_used)
         cov = build_cover(current)
         pts, vals = _ascend(cov, restarts, steps, seed + round_index)
         violating = np.nonzero(vals > cov.radius + ADVERSARIAL_TOL)[0]
@@ -475,18 +463,14 @@ def harden_dictionary(
         clean = 0
         order = violating[np.argsort(-vals[violating])]
         for i in order:
-            x = pts[i] / norm(space, pts[i])
-            fx = x if euclidean else norming_coords(space, x[None, :])[0]
-            if float(np.max(np.abs(vectors @ fx))) > mu:
+            x = pts[i] / norm(core.space, pts[i])
+            fx = core.functionals(x[None, :])
+            if float(core.one_sided(fx)[0]) > mu:
                 continue  # deepest endpoint already fixed this one's basin
-            if not euclidean and float(np.max(np.abs(funcs @ x))) > mu:
-                return False, Dictionary(
-                    space=space, vectors=vectors, trials_used=dictionary.trials_used
-                )
-            vectors = np.vstack([vectors, x[None, :]])
-            if not euclidean:
-                funcs = np.vstack([funcs, norming_coords(space, x[None, :])])
-    return False, Dictionary(space=space, vectors=vectors, trials_used=dictionary.trials_used)
+            if not core.euclidean and float(core.reverse(x[None, :])[0]) > mu:
+                return False, core.dictionary(dictionary.trials_used)
+            core.add(x, fx[0])
+    return False, core.dictionary(dictionary.trials_used)
 
 
 def simplex_dichotomy_check(points, tol: float = PASS_TOL) -> np.ndarray:

@@ -58,6 +58,15 @@ def test_dict_greedy_and_coherence(tmp_path):
     assert main(["dict", "coherence", "--in", str(out), "--json"]) == 0
 
 
+def test_dict_coherence_rejects_nan_vector(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"space": {"d": 2, "p": 2}, "vectors": [[NaN, 0.0], [0.0, 1.0]], "trials": null}')
+    out = tmp_path / "coherence.json"
+    assert main(["dict", "coherence", "--in", str(path), "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cover_build_and_verify_axis(tmp_path):
     cover_path = tmp_path / "c.json"
     assert main(

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballcover.dictionaries import (
+    DUPLICATE_TOL,
+    GREEDY_BLOCK,
     Dictionary,
     coherence_banach,
     coherence_euclidean,
@@ -12,7 +16,8 @@ from ballcover.dictionaries import (
 )
 from ballcover.frames import etf_from_hadamard
 from ballcover.hadamard import sylvester
-from ballcover.spaces import LpSpace, sample_sphere
+from ballcover.serialize import dictionary_from_dict
+from ballcover.spaces import LpSpace, norming_coords, norms, sample_sphere, sphere_from_rng
 
 
 def _dict2(vectors, p=2.0):
@@ -25,7 +30,38 @@ def test_dictionary_validation():
         _dict2([[1.0, 1.0]])  # not unit norm
     with pytest.raises(ValueError):
         _dict2([[1.0, 0.0], [1.0, 0.0]])  # duplicate
+    with pytest.raises(ValueError, match="finite"):
+        _dict2([[math.nan, 0.0], [0.0, 1.0]])
     assert len(_dict2([[1.0, 0.0]])) == 1
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    d=st.integers(1, 5),
+    p=st.sampled_from([1.5, 2.0, 4.0, math.inf]),
+    bad=_NON_FINITE,
+    data=st.data(),
+)
+def test_dictionary_rejects_non_finite(n, d, p, bad, data):
+    space = LpSpace(d, p)
+    v = sample_sphere(space, n, seed=n * 10 + d)
+    v[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Dictionary(space=space, vectors=v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), d=st.integers(1, 4), bad=_NON_FINITE, data=st.data())
+def test_dictionary_from_dict_rejects_non_finite(n, d, bad, data):
+    vectors = sample_sphere(LpSpace(d, 4.0), n, seed=n * 10 + d).tolist()
+    vectors[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, d - 1))] = bad
+    obj = {"space": {"d": d, "p": 4.0}, "vectors": vectors, "trials": None}
+    with pytest.raises(ValueError, match="finite"):
+        dictionary_from_dict(obj)
 
 
 def test_coherence_orthonormal():
@@ -168,3 +204,44 @@ def test_greedy_deterministic():
     b = greedy_maximal_dictionary(space, 0.5, seed=7)
     assert np.array_equal(a.vectors, b.vectors)
     assert a.trials_used == b.trials_used
+
+
+def _replay_greedy(space, mu, seed, saturation):
+    # one candidate at a time, in the order of the same blocks of draws
+    rng = np.random.default_rng(seed)
+    vecs, trials, rejected = [], 0, 0
+    while True:
+        for x in sphere_from_rng(space, GREEDY_BLOCK, rng):
+            if rejected == saturation:
+                return np.asarray(vecs), trials
+            trials += 1
+            fx = norming_coords(space, x[None, :])[0]
+            admit = all(
+                abs(fx @ g) <= mu and abs(norming_coords(space, g[None, :])[0] @ x) <= mu
+                for g in vecs
+            )
+            if admit and vecs:
+                admit = float(np.min(norms(space, np.asarray(vecs) - x))) >= DUPLICATE_TOL
+            if admit:
+                vecs.append(x)
+                rejected = 0
+            else:
+                rejected += 1
+
+
+@pytest.mark.parametrize(
+    "d, p, mu, saturation",
+    [(4, 2.0, 0.5, 40), (6, 2.0, 0.3, 700), (4, 4.0, 0.5, 40), (5, 4.0, 0.5, 700)],
+)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_greedy_replays_one_at_a_time(d, p, mu, saturation, seed):
+    space = LpSpace(d, p)
+    got = greedy_maximal_dictionary(space, mu, seed, saturation)
+    vecs, trials = _replay_greedy(space, mu, seed, saturation)
+    assert np.array_equal(got.vectors, vecs)
+    assert got.trials_used == trials
+    assert type(got.trials_used) is int
+    if saturation < GREEDY_BLOCK:
+        assert trials % GREEDY_BLOCK != 0  # the stop lands mid-block
+    else:
+        assert trials > 2 * GREEDY_BLOCK  # the build crosses block boundaries

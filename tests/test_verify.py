@@ -365,3 +365,24 @@ def test_harden_dictionary_l2():
     cov = dictionary_cover_l2(hardened, 0.4)
     _, margin = adversarial_search(cov, 50, 200, seed=14)
     assert margin >= -1e-9
+
+
+@pytest.mark.parametrize("mu", [math.nan, 0.0, 1.0, 1.5])
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_admission_rejects_bad_mu_before_drawing(monkeypatch, mu, p):
+    import ballcover.dictionaries as dictionaries
+    import ballcover.verify as verify
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew sphere points before validating mu")
+
+    monkeypatch.setattr(dictionaries, "sphere_from_rng", no_draws)
+    monkeypatch.setattr(verify, "sphere_from_rng", no_draws)
+    space = LpSpace(2, p)
+    d = Dictionary(space=space, vectors=[[1.0, 0.0]])
+    with pytest.raises(ValueError, match="mu"):
+        dictionaries.greedy_maximal_dictionary(space, mu, seed=0)
+    with pytest.raises(ValueError, match="mu"):
+        certify_maximality(d, mu, 1000, seed=1)
+    with pytest.raises(ValueError, match="mu"):
+        harden_dictionary(d, mu, lambda dd: no_draws(), seed=2)
