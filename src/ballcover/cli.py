@@ -29,7 +29,7 @@ from .coverings import (
     simplex_cover_unit,
 )
 from .dictionaries import coherence_banach, coherence_matrix, greedy_maximal_dictionary
-from .frames import etf_from_hadamard, frame_gram, verify_frame_identities
+from .frames import etf_from_hadamard, verify_frame_identities
 from .hadamard import sylvester, verify_hadamard
 from .serialize import (
     covering_from_dict,
@@ -131,11 +131,9 @@ def _cmd_etf(args) -> int:
         print(f"order {args.order} is not an available Hadamard order >= 2", file=sys.stderr)
         return EXIT_USAGE
     frame = etf_from_hadamard(sylvester(k))
-    n = frame.dim
-    target = (1.0 + 1.0 / n) * np.identity(n + 1) - np.full((n + 1, n + 1), 1.0 / n)
-    gram_dev = float(np.max(np.abs(frame_gram(frame) - target)))
+    gram_dev = frame.gram_deviation()
     worst = [0.0, 0.0, 0.0]
-    for x in sample_sphere(LpSpace(n, 2.0), 50, args.seed):
+    for x in sample_sphere(LpSpace(frame.dim, 2.0), 50, args.seed):
         res = verify_frame_identities(frame, x)
         worst = [max(w, r) for w, r in zip(worst, res)]
     payload = {
@@ -293,10 +291,7 @@ def _selftest_checks(seed: int):
     def etf_gram():
         worst = 0.0
         for k in (1, 2, 3, 4, 5, 6):
-            frame = etf_from_hadamard(sylvester(k))
-            n = frame.dim
-            target = (1.0 + 1.0 / n) * np.identity(n + 1) - np.full((n + 1, n + 1), 1.0 / n)
-            worst = max(worst, float(np.max(np.abs(frame_gram(frame) - target))))
+            worst = max(worst, etf_from_hadamard(sylvester(k)).gram_deviation())
         return worst <= 1e-12, {"worst_gram_deviation": worst}
 
     def simplex_dichotomy():

@@ -58,7 +58,7 @@ class CoverMargin:
     def __post_init__(self):
         if self.kind not in (STRICT_OPEN, UNIFORM):
             raise ValueError(f"unknown margin kind {self.kind!r}")
-        if self.value < 0.0:
+        if not (self.value >= 0.0):
             raise ValueError("margin value must be nonnegative")
 
 
@@ -93,7 +93,7 @@ class BallCovering:
         unreachable composed centers and skip this check.
         """
         worst = float(np.max(norms(self.space, self.centers)))
-        if worst > 1.0 + self.radius + tol:
+        if not (worst <= 1.0 + self.radius + tol):
             raise ValueError(
                 f"center at norm {worst} cannot reach the unit ball at radius {self.radius}"
             )

@@ -43,12 +43,20 @@ class TightFrame:
     def as_dictionary(self) -> Dictionary:
         return Dictionary(space=LpSpace(self.dim, 2.0), vectors=self.matrix.T.copy())
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Raise unless the Gram matrix equals (1 + 1/d) I - (1/d) J within tol."""
+    def gram_deviation(self) -> float:
+        """Largest entrywise gap between the Gram matrix and (1 + 1/d) I - (1/d) J.
+
+        NaN or inf when the matrix holds a non-finite entry, so compare it as
+        ``not (dev <= tol)``.
+        """
         n = self.dim
         target = (1.0 + 1.0 / n) * np.identity(n + 1) - np.full((n + 1, n + 1), 1.0 / n)
-        dev = float(np.max(np.abs(frame_gram(self) - target)))
-        if dev > tol:
+        return float(np.max(np.abs(frame_gram(self) - target)))
+
+    def validate(self, tol: float = 1e-12) -> None:
+        """Raise unless the Gram matrix equals (1 + 1/d) I - (1/d) J within tol."""
+        dev = self.gram_deviation()
+        if not (dev <= tol):
             raise ValueError(f"Gram matrix deviates from the equiangular target by {dev:.3e}")
 
 

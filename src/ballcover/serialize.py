@@ -2,12 +2,24 @@
 
 Floats serialize through repr (json's default), which round-trips exactly;
 p is written as a number or the string "inf".
+
+Artefact text is ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` byte
+for byte; ``dumps`` only produces it faster. That json call formats every
+element in Python, while the payloads are mostly long runs of a few distinct
+numbers (Hadamard rows, frame vectors, centers). So a flat list whose items
+are all exact ints or all exact floats, with at most half of them distinct,
+is written as one run in which each distinct value is formatted once. Other
+flat lists go through json's encoder with the same item separator, and dicts
+and nested lists are written level by level around them, as pieces joined
+once at the end. Set and dict order never reaches the text, so it does not
+depend on PYTHONHASHSEED.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from operator import countOf, itemgetter
 
 import numpy as np
 
@@ -96,5 +108,73 @@ def report_to_dict(report: CoverageReport, include_elapsed: bool = False) -> dic
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, trailing newline.
+
+    Equal to ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, and raises
+    TypeError where that call does. Objects that nest more than about 400
+    levels deep, or contain themselves, raise RecursionError instead.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append the text of obj to out; nl is a newline and the indentation of
+    the line on which obj starts."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        # json sorts the (key, value) items too, so mixed key types raise alike
+        for key, value in sorted(obj.items()):
+            out.append(sep + _key(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        out.append("[" + inner)
+        _write_items(obj, inner, out)
+        out.append(nl + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)  # json quotes the scalar's text: 1.5 -> "1.5", True -> "true"
+    return json.dumps(key)
+
+
+def _write_items(items, nl: str, out: list[str]) -> None:
+    """Append the items of a non-empty list, each starting on a line nl."""
+    sep = "," + nl
+    kind = type(items[0])
+    # exact types keep True and 1.0 out of int runs, and 1 out of float runs
+    if (kind is int or kind is float) and countOf(map(type, items), kind) == len(items):
+        distinct = set(items)
+        # 0.0 == -0.0 and non-finite floats print as NaN/Infinity, so such
+        # float runs are left to json
+        if 2 * len(distinct) <= len(items) and (
+            kind is int or all(v and math.isfinite(v) for v in distinct)
+        ):
+            text = {v: repr(v) for v in distinct}
+            # len(items) >= 2 here, so the getter returns a tuple
+            out.append(sep.join(itemgetter(*items)(text)))
+            return
+    elif any(isinstance(v, (list, tuple, dict)) for v in items):
+        _write(items[0], nl, out)
+        for v in items[1:]:
+            out.append(sep)
+            _write(v, nl, out)
+        return
+    out.append(json.JSONEncoder(separators=(sep, ": ")).encode(items)[1:-1])

@@ -292,11 +292,25 @@ def test_covering_validation():
             BallCovering(space, [[bad, 0.0]], 0.5, True, "non-finite")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_check_reach_rejects_centers_poisoned_after_construction(bad):
+    cov, _ = axis_cover(3)
+    cov.centers[1, 2] = bad
+    with pytest.raises(ValueError, match="cannot reach"):
+        cov.check_reach()
+
+
 def test_margin_validation():
     with pytest.raises(ValueError):
         CoverMargin("bogus", 0.1)
     with pytest.raises(ValueError):
         CoverMargin(UNIFORM, -0.1)
+
+
+@pytest.mark.parametrize("kind", [STRICT_OPEN, UNIFORM])
+def test_margin_rejects_nan(kind):
+    with pytest.raises(ValueError, match="nonnegative"):
+        CoverMargin(kind, math.nan)
 
 
 def test_banach_simplex_search_euclidean_consistency():

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballcover.frames import TightFrame, etf_from_hadamard, frame_gram, verify_frame_identities
 from ballcover.hadamard import HadamardMatrix, sylvester
@@ -34,6 +38,7 @@ def test_order8_gram():
 def test_gram_closed_form(k):
     frame = etf_from_hadamard(sylvester(k))
     assert np.max(np.abs(frame_gram(frame) - _gram_target(frame.dim))) <= 1e-12
+    assert frame.gram_deviation() == np.max(np.abs(frame_gram(frame) - _gram_target(frame.dim)))
     frame.validate()
 
 
@@ -67,6 +72,18 @@ def test_perturbed_frame_detected():
     assert verify_frame_identities(bad, x)[0] > 1e-3
     with pytest.raises(ValueError):
         bad.validate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+def test_validate_rejects_non_finite(k, bad, data):
+    frame = etf_from_hadamard(sylvester(k))
+    broken = frame.matrix.copy()
+    broken[data.draw(st.integers(0, frame.dim - 1)), data.draw(st.integers(0, frame.dim))] = bad
+    bad_frame = TightFrame(dim=frame.dim, matrix=broken)
+    assert not bad_frame.gram_deviation() <= 1e-12
+    with pytest.raises(ValueError):
+        bad_frame.validate()
 
 
 def test_requires_all_ones_first_row():
