@@ -111,8 +111,10 @@ def dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, two-space indent, trailing newline.
 
     Equal to ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, and raises
-    TypeError where that call does. Objects that nest more than about 400
-    levels deep, or contain themselves, raise RecursionError instead.
+    TypeError where that call does. Each level of nesting costs one Python
+    frame, as it does in that call, so both raise RecursionError at about the
+    same depth, a little under ``sys.getrecursionlimit()``. A container that
+    holds itself raises RecursionError here; json raises ValueError.
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -140,8 +142,16 @@ def _write(obj, nl: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = nl + "  "
+        sep = "," + inner
         out.append("[" + inner)
-        _write_items(obj, inner, out)
+        text = _flat(obj, sep)
+        if text is None:
+            _write(obj[0], inner, out)
+            for v in obj[1:]:
+                out.append(sep)
+                _write(v, inner, out)
+        else:
+            out.append(text)
         out.append(nl + "]")
     else:
         out.append(json.dumps(obj))
@@ -155,9 +165,9 @@ def _key(key) -> str:
     return json.dumps(key)
 
 
-def _write_items(items, nl: str, out: list[str]) -> None:
-    """Append the items of a non-empty list, each starting on a line nl."""
-    sep = "," + nl
+def _flat(items, sep: str) -> str | None:
+    """The items of a non-empty list joined by sep, or None if one of them is
+    a container."""
     kind = type(items[0])
     # exact types keep True and 1.0 out of int runs, and 1 out of float runs
     if (kind is int or kind is float) and countOf(map(type, items), kind) == len(items):
@@ -169,12 +179,7 @@ def _write_items(items, nl: str, out: list[str]) -> None:
         ):
             text = {v: repr(v) for v in distinct}
             # len(items) >= 2 here, so the getter returns a tuple
-            out.append(sep.join(itemgetter(*items)(text)))
-            return
+            return sep.join(itemgetter(*items)(text))
     elif any(isinstance(v, (list, tuple, dict)) for v in items):
-        _write(items[0], nl, out)
-        for v in items[1:]:
-            out.append(sep)
-            _write(v, nl, out)
-        return
-    out.append(json.JSONEncoder(separators=(sep, ": ")).encode(items)[1:-1])
+        return None
+    return json.JSONEncoder(separators=(sep, ": ")).encode(items)[1:-1]

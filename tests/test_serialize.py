@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -142,3 +143,13 @@ def test_dumps_rejects_what_json_rejects(obj):
         _reference(obj)
     with pytest.raises(TypeError):
         dumps(obj)
+
+
+@pytest.mark.parametrize("kind", ["list", "dict"])
+def test_dumps_nests_as_deep_as_json(kind):
+    # one frame per level, as in json: a depth past half the recursion limit
+    # still writes, where two frames per level overflowed
+    obj = 1
+    for _ in range(sys.getrecursionlimit() // 2 + 100):
+        obj = [obj] if kind == "list" else {"k": obj}
+    assert dumps(obj) == _reference(obj)
