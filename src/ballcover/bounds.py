@@ -25,7 +25,6 @@ __all__ = [
     "calibrate_c1",
 ]
 
-RAW_COUNT_LIMIT = 1e15
 _LOG_OVERFLOW = 700.0
 
 CSV_COLUMNS = (
@@ -49,12 +48,12 @@ class BoundConstants:
 
     c1: float = 1.0
     c2: float = 1.0
-    c_generic: float = 1.0
     calibrated: bool = False
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.c_generic) <= 0.0:
-            raise ValueError("constants must be positive")
+        # phrased so that NaN fails
+        if not (0.0 < self.c1 < math.inf and 0.0 < self.c2 < math.inf):
+            raise ValueError(f"constants must be finite and positive, got c1={self.c1} c2={self.c2}")
 
     @property
     def label(self) -> str:

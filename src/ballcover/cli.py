@@ -44,7 +44,6 @@ from .spaces import (
     SmoothnessMajorant,
     ball_from_rng,
     norm,
-    norms,
     sample_sphere,
     smoothness_majorant_for,
     solve_step_size,
@@ -58,6 +57,7 @@ from .verify import (
     certify_sampling,
     harden_dictionary,
     linf_vertex_check,
+    nearest,
     simplex_dichotomy_check,
     uncovered_witness,
 )
@@ -67,8 +67,6 @@ ENV_SEED = "BALLCOVER_SEED"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
-
-CONSTRUCTIONS = ("simplex", "simplex-shrunk", "etf", "dict-l2", "dict-banach", "axis", "basis")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,12 +113,8 @@ def _cmd_hadamard(args) -> int:
         )
         return EXIT_USAGE
     h = sylvester(k)
-    payload = {
-        "order": h.order,
-        "rows": h.entries.tolist(),
-        "verified": verify_hadamard(h.entries),
-        "seed": args.seed,
-    }
+    # a HadamardMatrix has passed the exact check when it was constructed
+    payload = {"order": h.order, "rows": h.entries.tolist(), "verified": True, "seed": args.seed}
     _emit(payload, args.out, args.json)
     return EXIT_OK
 
@@ -172,43 +166,61 @@ def _cmd_dict_coherence(args) -> int:
     return EXIT_OK
 
 
-def _build_covering(args):
-    name = args.construction
-    p = _parse_p(args.p)
-    if name in ("simplex", "simplex-shrunk", "etf", "axis", "dict-l2") and p != 2.0:
-        raise ValueError(f"construction {name!r} requires p = 2")
-    if name == "simplex":
-        return simplex_cover_unit(args.d)[0]
-    if name == "simplex-shrunk":
-        return simplex_cover_shrunk(args.d)[0]
-    if name == "etf":
-        return etf_cover(args.d)[0]
-    if name == "axis":
-        return axis_cover(args.d)[0]
-    if name == "basis":
-        return basis_cover(LpSpace(args.d, p), args.K)
-    if args.mu is None:
-        raise ValueError(f"construction {name!r} needs --mu")
-    space = LpSpace(args.d, p)
-    dictionary = greedy_maximal_dictionary(space, args.mu, args.seed, args.saturation)
+def _certified_dictionary(space, mu, seed, saturation, samples):
+    """Greedy build at seed, then certify_maximality at seed + 1.
+
+    Returns (maximal, dictionary). A counterexample that cannot be admitted
+    gives (False, the dictionary as augmented so far).
+    """
+    dictionary = greedy_maximal_dictionary(space, mu, seed, saturation)
     try:
-        _, dictionary = certify_maximality(dictionary, args.mu, args.certify_samples, args.seed + 1)
+        return certify_maximality(dictionary, mu, samples, seed + 1)
     except MaximalityRepairError as err:
+        return False, err.dictionary
+
+
+def _build_dictionary(args, space):
+    # the certified dictionary behind the dict-* constructions
+    if args.mu is None:
+        raise ValueError(f"construction {args.construction!r} needs --mu")
+    maximal, dictionary = _certified_dictionary(
+        space, args.mu, args.seed, args.saturation, args.certify_samples
+    )
+    if not maximal:
         print(
             "warning: maximality certification hit an unrepairable counterexample; "
             "continuing with the dictionary augmented so far",
             file=sys.stderr,
         )
-        dictionary = err.dictionary
-    if name == "dict-l2":
-        return dictionary_cover_l2(dictionary, args.mu)
-    return dictionary_cover_banach(dictionary, args.mu, smoothness_majorant_for(space))
+    return dictionary
+
+
+# name -> (needs p = 2, builder(args, space) -> BallCovering)
+CONSTRUCTIONS = {
+    "simplex": (True, lambda args, space: simplex_cover_unit(args.d)[0]),
+    "simplex-shrunk": (True, lambda args, space: simplex_cover_shrunk(args.d)[0]),
+    "etf": (True, lambda args, space: etf_cover(args.d)[0]),
+    "dict-l2": (
+        True,
+        lambda args, space: dictionary_cover_l2(_build_dictionary(args, space), args.mu),
+    ),
+    "dict-banach": (
+        False,
+        lambda args, space: dictionary_cover_banach(
+            _build_dictionary(args, space), args.mu, smoothness_majorant_for(space)
+        ),
+    ),
+    "axis": (True, lambda args, space: axis_cover(args.d)[0]),
+    "basis": (False, lambda args, space: basis_cover(space, args.K)),
+}
 
 
 def _cmd_cover_build(args) -> int:
-    cov = _build_covering(args)
-    if args.iterate > 1:
-        cov = iterate_cover(cov, args.iterate)
+    needs_p2, build = CONSTRUCTIONS[args.construction]
+    p = _parse_p(args.p)
+    if needs_p2 and p != 2.0:
+        raise ValueError(f"construction {args.construction!r} requires p = 2")
+    cov = iterate_cover(build(args, LpSpace(args.d, p)), args.iterate)
     _emit(covering_to_dict(cov, seed=args.seed), args.out, args.json)
     return EXIT_OK
 
@@ -245,7 +257,7 @@ def _cmd_witness(args) -> int:
     payload = {
         "witness": z.tolist(),
         "norm": norm(space, z),
-        "min_distance": float(np.min(norms(space, z[None, :] - centers))),
+        "min_distance": float(nearest(space, z, centers)[1][0]),
         "seed": args.seed,
     }
     _emit(payload, args.out, args.json)
@@ -332,54 +344,34 @@ def _selftest_checks(seed: int):
         ok = ok and detail["iterate_count"] == 16
         return ok, detail
 
-    def dict_pipeline_l2():
-        space = LpSpace(4, 2.0)
-        dictionary = greedy_maximal_dictionary(space, 0.5, seed, 2000)
-        passed, dictionary = certify_maximality(dictionary, 0.5, 4000, seed + 1)
+    def dict_pipeline(space, cover):
+        # certified dictionary at mu = 0.5, hardening, then sampled coverage;
+        # returns (maximal, hardened and sampling passed, cover, detail)
+        maximal, dictionary = _certified_dictionary(space, 0.5, seed, 2000, 4000)
         hardened, dictionary = harden_dictionary(
-            dictionary,
-            0.5,
-            lambda d: dictionary_cover_l2(d, 0.5),
-            restarts=50,
-            steps=100,
-            seed=seed + 2,
-            clean_rounds=3,
+            dictionary, 0.5, cover, restarts=50, steps=100, seed=seed + 2, clean_rounds=3
         )
-        cov = dictionary_cover_l2(dictionary, 0.5)
+        cov = cover(dictionary)
         report = certify_sampling(cov, 2000, 2000, seed + 3)
-        _, adv_margin = adversarial_search(cov, 30, 100, seed + 4)
-        return passed and hardened and report.passed and adv_margin >= -ADVERSARIAL_TOL, {
-            "dictionary_size": len(dictionary),
-            "worst_margin": report.worst_margin,
-            "adversarial_margin": adv_margin,
-        }
+        detail = {"dictionary_size": len(dictionary), "worst_margin": report.worst_margin}
+        return maximal, hardened and report.passed, cov, detail
+
+    def dict_pipeline_l2():
+        maximal, ok, cov, detail = dict_pipeline(
+            LpSpace(4, 2.0), lambda d: dictionary_cover_l2(d, 0.5)
+        )
+        _, detail["adversarial_margin"] = adversarial_search(cov, 30, 100, seed + 4)
+        return maximal and ok and detail["adversarial_margin"] >= -ADVERSARIAL_TOL, detail
 
     def dict_pipeline_banach():
-        dictionary = greedy_maximal_dictionary(space4, 0.5, seed, 2000)
         # two-sided admission cannot always repair one-sided maximality gaps
         # in asymmetric spaces; record that verdict and certify the coverage
-        try:
-            maximal, dictionary = certify_maximality(dictionary, 0.5, 4000, seed + 1)
-        except MaximalityRepairError as err:
-            maximal = False
-            dictionary = err.dictionary
         majorant = smoothness_majorant_for(space4)
-        hardened, dictionary = harden_dictionary(
-            dictionary,
-            0.5,
-            lambda d: dictionary_cover_banach(d, 0.5, majorant),
-            restarts=50,
-            steps=100,
-            seed=seed + 2,
-            clean_rounds=3,
+        maximal, ok, _, detail = dict_pipeline(
+            space4, lambda d: dictionary_cover_banach(d, 0.5, majorant)
         )
-        cov = dictionary_cover_banach(dictionary, 0.5, majorant)
-        report = certify_sampling(cov, 2000, 2000, seed + 3)
-        return hardened and report.passed, {
-            "dictionary_size": len(dictionary),
-            "maximality_certified": maximal,
-            "worst_margin": report.worst_margin,
-        }
+        detail["maximality_certified"] = maximal
+        return ok, detail
 
     def witness_spot():
         worst = math.inf
@@ -389,7 +381,7 @@ def _selftest_checks(seed: int):
             for _ in range(20):
                 centers = ball_from_rng(space, 4, rng)
                 z = uncovered_witness(space, centers)
-                worst = min(worst, float(np.min(norms(space, z[None, :] - centers))))
+                worst = min(worst, float(nearest(space, z, centers)[1][0]))
         return worst >= 1.0 - 1e-9, {"worst_min_distance": worst}
 
     def vertex_check():
@@ -489,7 +481,7 @@ def _build_parser() -> _Parser:
     p_cover = sub.add_parser("cover", help="build and verify coverings")
     cover_sub = p_cover.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     p_build = cover_sub.add_parser("build", help="build a covering and write it as JSON")
-    p_build.add_argument("--construction", choices=CONSTRUCTIONS, required=True)
+    p_build.add_argument("--construction", choices=list(CONSTRUCTIONS), required=True)
     p_build.add_argument("--d", type=int, required=True)
     p_build.add_argument("--p", default="2", help="norm exponent (number or 'inf')")
     p_build.add_argument("--mu", type=float, default=None)

@@ -183,6 +183,17 @@ def dictionary_cover_l2(dictionary: Dictionary, mu: float) -> BallCovering:
     ).check_reach()
 
 
+def _smooth_cover(space: LpSpace, vectors, mu: float, majorant, provenance) -> BallCovering:
+    # closed balls at +-a(mu) v with radius 1 - mu a(mu)/2, refused below the
+    # small-norm requirement 1/2 + a; provenance(a) names the cover
+    a = solve_step_size(majorant, mu)
+    radius = 1.0 - 0.5 * mu * a
+    if radius < 0.5 + a:
+        raise ValueError(f"radius {radius} is below the small-norm requirement 1/2 + {a}")
+    centers = np.vstack([a * vectors, -a * vectors])
+    return BallCovering(space, centers, radius, closed=True, provenance=provenance(a)).check_reach()
+
+
 def dictionary_cover_banach(
     dictionary: Dictionary, mu: float, majorant: SmoothnessMajorant
 ) -> BallCovering:
@@ -192,21 +203,15 @@ def dictionary_cover_banach(
     ||x|| >= 1/2; the build-time requirement radius >= 1/2 + a(mu) covers the
     rest and rejects parameter combinations that violate it.
     """
-    space = dictionary.space
-    if not space.smooth:
+    if not dictionary.space.smooth:
         raise ValueError("requires 1 < p < inf")
-    a = solve_step_size(majorant, mu)
-    radius = 1.0 - 0.5 * mu * a
-    if radius < 0.5 + a:
-        raise ValueError(f"radius {radius} is below the small-norm requirement 1/2 + {a}")
-    centers = np.vstack([a * dictionary.vectors, -a * dictionary.vectors])
-    return BallCovering(
-        space,
-        centers,
-        radius,
-        closed=True,
-        provenance=f"dict-banach(N={len(dictionary)}, mu={mu!r}, a={a!r})",
-    ).check_reach()
+    return _smooth_cover(
+        dictionary.space,
+        dictionary.vectors,
+        mu,
+        majorant,
+        lambda a: f"dict-banach(N={len(dictionary)}, mu={mu!r}, a={a!r})",
+    )
 
 
 def axis_cover(d: int) -> tuple[BallCovering, CoverMargin]:
@@ -227,12 +232,7 @@ def axis_cover(d: int) -> tuple[BallCovering, CoverMargin]:
     return cov, CoverMargin(UNIFORM, margin)
 
 
-def basis_cover(
-    space: LpSpace,
-    k_const: float = 1.0,
-    majorant: SmoothnessMajorant | None = None,
-    basis=None,
-) -> BallCovering:
+def basis_cover(space: LpSpace, k_const: float = 1.0, basis=None) -> BallCovering:
     """2d closed balls at +-a psi_j with mu = 1/(K d) and a the step-size root.
 
     Deterministic pigeonhole guarantee: expanding x in the basis shows some
@@ -245,8 +245,6 @@ def basis_cover(
         raise ValueError("requires 1 < p < inf")
     if not k_const >= 1.0:
         raise ValueError(f"basis constant K must be at least 1, got {k_const}")
-    if majorant is None:
-        majorant = smoothness_majorant_for(space)
     if basis is None:
         basis_arr = np.identity(space.d)
     else:
@@ -254,25 +252,20 @@ def basis_cover(
         if basis_arr.shape != (space.d, space.d):
             raise ValueError(f"basis must be d x d, got {basis_arr.shape}")
     mu = 1.0 / (k_const * space.d)
-    a = solve_step_size(majorant, mu)
-    radius = 1.0 - 0.5 * a * mu
-    if radius < 0.5 + a:
-        raise ValueError(f"radius {radius} is below the small-norm requirement 1/2 + {a}")
-    centers = np.vstack([a * basis_arr, -a * basis_arr])
-    return BallCovering(
+    return _smooth_cover(
         space,
-        centers,
-        radius,
-        closed=True,
-        provenance=f"basis(d={space.d}, K={k_const!r}, mu={mu!r}, a={a!r})",
-    ).check_reach()
+        basis_arr,
+        mu,
+        smoothness_majorant_for(space),
+        lambda a: f"basis(d={space.d}, K={k_const!r}, mu={mu!r}, a={a!r})",
+    )
 
 
-def iterate_cover(cov: BallCovering, m: int, dedup: bool = False) -> BallCovering:
+def iterate_cover(cov: BallCovering, m: int) -> BallCovering:
     """Compose a radius-r covering with itself m times: radius r**m, N**m centers.
 
-    Centers are the affine sums c_1 + r c_2 + ... + r**(m-1) c_m. Without
-    dedup the count is exactly N**m; composition can produce centers whose
+    Centers are the affine sums c_1 + r c_2 + ... + r**(m-1) c_m, repeats
+    kept, so the count is exactly N**m. Composition can produce centers whose
     balls no longer meet the unit ball, which is harmless for coverage, so
     the reach check is skipped here.
     """
@@ -288,8 +281,6 @@ def iterate_cover(cov: BallCovering, m: int, dedup: bool = False) -> BallCoverin
     acc = cov.centers
     for _ in range(m - 1):
         acc = (cov.centers[:, None, :] + cov.radius * acc[None, :, :]).reshape(-1, cov.space.d)
-    if dedup:
-        acc = np.unique(acc, axis=0)
     return BallCovering(
         cov.space, acc, cov.radius ** m, cov.closed, f"iterate({cov.provenance}, m={m})"
     )

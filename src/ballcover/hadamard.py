@@ -20,12 +20,14 @@ __all__ = [
     "verify_hadamard",
 ]
 
-MAX_ORDER = 1 << 20
+# the largest order the exact check verifies in bounded memory: order 2**13
+# peaks near 1.7 GiB, and each doubling of the order quadruples that
+MAX_ORDER = 1 << 13
 
 
 def _gram(entries: np.ndarray) -> np.ndarray:
     # BLAS product in float32 is exact here: every intermediate value is an
-    # integer of magnitude <= order <= 2**20 < 2**24
+    # integer of magnitude <= order <= MAX_ORDER < 2**24
     f = entries.astype(np.float32)
     return f.T @ f
 
@@ -54,6 +56,8 @@ class HadamardMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise ValueError("entries must form a nonempty square matrix")
         n = m.shape[0]
+        if n > MAX_ORDER:
+            raise ValueError(f"order {n} exceeds the guard {MAX_ORDER}")
         if n > 2 and n % 4 != 0:
             raise ValueError(f"no Hadamard matrix of order {n} exists (order must be 1, 2 or 0 mod 4)")
         if not verify_hadamard(m):
@@ -66,8 +70,9 @@ class HadamardMatrix:
 
 def sylvester(k: int) -> HadamardMatrix:
     """Order-2**k Hadamard matrix from the doubling recursion; first row all ones."""
-    if not 0 <= k <= 20:
-        raise ValueError(f"k must lie in [0, 20], got {k}")
+    top = MAX_ORDER.bit_length() - 1
+    if not 0 <= k <= top:
+        raise ValueError(f"k must lie in [0, {top}], got {k}")
     h = np.array([[1]], dtype=np.int64)
     for _ in range(k):
         h = np.block([[h, h], [h, -h]])

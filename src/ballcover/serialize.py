@@ -92,8 +92,9 @@ def dictionary_from_dict(obj) -> Dictionary:
     )
 
 
-def report_to_dict(report: CoverageReport, include_elapsed: bool = False) -> dict:
-    out = {
+def report_to_dict(report: CoverageReport) -> dict:
+    # no elapsed time: artefacts must be byte-identical across runs
+    return {
         "samples_tested": report.samples_tested,
         "worst_margin": report.worst_margin,
         "failure_witness": None
@@ -102,9 +103,6 @@ def report_to_dict(report: CoverageReport, include_elapsed: bool = False) -> dic
         "seed": report.seed,
         "passed": report.passed,
     }
-    if include_elapsed:
-        out["elapsed"] = report.elapsed
-    return out
 
 
 def dumps(obj) -> str:

@@ -42,6 +42,10 @@ ADVERSARIAL_TOL = 1e-9
 # float64 entries per block of the nearest-center kernel, so that a block's
 # temporaries fit together in a 2 MiB L2 cache
 _BLOCK_ENTRIES = 1 << 18
+# sphere samples drawn at once by certify_maximality
+_MAXIMALITY_BATCH = 1024
+# rounds after which harden_dictionary gives up
+_HARDEN_MAX_ROUNDS = 500
 
 
 def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +295,7 @@ def uncovered_witness(space: LpSpace, centers) -> np.ndarray:
         raise RuntimeError("neither sign of the witness separates from the affine hull")
     if abs(norm(space, z) - 1.0) > 1e-12:
         raise RuntimeError("witness lost unit norm")
-    closest = float(np.min(norms(space, z[None, :] - c)))
+    closest = float(nearest(space, z, c)[1][0])
     if closest < 1.0 - 1e-9:
         raise RuntimeError(f"witness construction failed: nearest center at distance {closest}")
     if space.p == 2.0 and affine_hull_distance(z, c) < 1.0 - 1e-9:
@@ -383,7 +387,6 @@ def certify_maximality(
     mu: float,
     n: int,
     seed: int,
-    batch: int = 1024,
     max_augmentations: int | None = None,
 ) -> tuple[bool, Dictionary]:
     """Probe dictionary maximality on sphere samples, admitting counterexamples.
@@ -403,7 +406,7 @@ def certify_maximality(
     clean = 0
     augmented = 0
     while clean < n:
-        count = int(min(batch, n - clean))
+        count = int(min(_MAXIMALITY_BATCH, n - clean))
         xs = sphere_from_rng(core.space, count, rng)
         fxs = core.functionals(xs)
         bad = np.nonzero(core.one_sided(fxs) <= mu)[0]
@@ -434,7 +437,6 @@ def harden_dictionary(
     steps: int = 200,
     seed: int = 0,
     clean_rounds: int = 5,
-    max_rounds: int = 500,
 ) -> tuple[bool, Dictionary]:
     """Augment a dictionary until adversarial search stops finding uncovered points.
 
@@ -446,11 +448,12 @@ def harden_dictionary(
     one-sided bound max_g |F_x(g)| < mu; in the Euclidean case it is
     automatically two-sided admissible). Certified when clean_rounds
     consecutive searches with distinct seeds find no violation; returns
-    (False, dictionary) if a violation is not admissible or rounds run out.
+    (False, dictionary) if a violation is not admissible or 500 rounds pass
+    without that.
     """
     core = _Admission(dictionary.space, mu, dictionary.vectors)
     clean = 0
-    for round_index in range(max_rounds):
+    for round_index in range(_HARDEN_MAX_ROUNDS):
         current = core.dictionary(dictionary.trials_used)
         cov = build_cover(current)
         pts, vals = _ascend(cov, restarts, steps, seed + round_index)

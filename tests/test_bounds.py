@@ -91,6 +91,12 @@ def test_bound_monotonicity():
 def test_constants_validation_and_label():
     with pytest.raises(ValueError):
         BoundConstants(c1=0.0)
+    # NaN and inf must fail as well; NaN compares false with everything
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            BoundConstants(c1=bad)
+        with pytest.raises(ValueError):
+            BoundConstants(c2=bad)
     assert BoundConstants().label == "uncalibrated"
     assert BoundConstants(calibrated=True).label == "calibrated"
     assert BoundConstants(c2=2.0).derived_polynomial_exponent(1.0) == pytest.approx(1.0)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ballcover.cli import main
+from ballcover.cli import CONSTRUCTIONS, main
 from ballcover.serialize import covering_from_dict
 
 
@@ -27,6 +27,17 @@ def test_hadamard_order8(tmp_path):
 
 def test_hadamard_unavailable_order():
     assert main(["hadamard", "--order", "7"]) == 1
+
+
+def test_hadamard_order_above_guard_fails_before_building(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an order above the guard must be refused before any matrix is built")
+
+    monkeypatch.setattr(np, "block", refuse)
+    monkeypatch.setattr("ballcover.hadamard._gram", refuse)
+    out = tmp_path / "h.json"
+    assert main(["hadamard", "--order", "16384", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_one():
@@ -124,6 +135,11 @@ def test_cover_build_iterated_roundtrip(tmp_path):
     assert main(
         ["cover", "verify", "--in", str(cover_path), "--samples", "4000", "--seed", "1"]
     ) == 0
+    for m in ("0", "-5"):
+        bad = tmp_path / f"it{m}.json"
+        argv = ["cover", "build", "--construction", "axis", "--d", "2", "--iterate", m]
+        assert main([*argv, "--out", str(bad)]) == 1
+        assert not bad.exists()
 
 
 def test_cover_build_dict_l2(tmp_path):
@@ -183,8 +199,34 @@ def test_cover_build_basis_l4(tmp_path):
     assert cov.radius == pytest.approx(1.0 - 1.0 / 1024.0, rel=1e-14)
 
 
-def test_cover_build_requires_matching_p():
-    assert main(["cover", "build", "--construction", "axis", "--d", "4", "--p", "4"]) == 1
+@pytest.mark.parametrize("name", [name for name, (needs_p2, _) in CONSTRUCTIONS.items() if needs_p2])
+def test_cover_build_requires_matching_p(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the p = 2 requirement must be checked before any work")
+
+    monkeypatch.setattr("ballcover.cli.greedy_maximal_dictionary", refuse)
+    argv = ["cover", "build", "--construction", name, "--d", "3", "--p", "4", "--mu", "0.5"]
+    assert main(argv) == 1
+
+
+# small arguments for each construction of the table
+_SMOKE_ARGS = {
+    "simplex": ["--d", "2"],
+    "simplex-shrunk": ["--d", "2"],
+    "etf": ["--d", "3"],
+    "dict-l2": ["--d", "3", "--mu", "0.5"],
+    "dict-banach": ["--d", "3", "--p", "4", "--mu", "0.5"],
+    "axis": ["--d", "2"],
+    "basis": ["--d", "3", "--p", "3"],
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+def test_cover_build_every_construction(name, tmp_path):
+    cover_path = tmp_path / "c.json"
+    argv = ["cover", "build", "--construction", name, *_SMOKE_ARGS[name], "--seed", "4"]
+    assert main([*argv, "--out", str(cover_path)]) == 0
+    assert main(["cover", "verify", "--in", str(cover_path), "--samples", "2000", "--seed", "6"]) == 0
 
 
 def test_witness_cli(tmp_path):
@@ -219,6 +261,13 @@ def test_bounds_table_csv(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "delta,mu,log_lower,log_volumetric_upper,log_regime_upper,log_iterated,regime_flag"
     assert len(lines) == 6
+
+
+def test_bounds_table_rejects_nan_constants(capsys):
+    argv = ["bounds", "table", "--d", "4", "--p", "2", "--delta-grid", "0.01:0.2:2"]
+    assert main([*argv, "--c1", "nan", "--c2", "nan"]) == 1
+    assert main([*argv, "--c1", "inf"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_roundtrip_matches_inmemory(tmp_path):

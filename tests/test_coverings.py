@@ -274,7 +274,6 @@ def test_iterate_dedup():
     cov = BallCovering(space, [[0.0], [0.0]], 0.5, True, "dup")
     it = iterate_cover(cov, 2)
     assert len(it) == 4
-    assert len(iterate_cover(cov, 2, dedup=True)) == 1
 
 
 def test_covering_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ballcover import hadamard
 from ballcover.hadamard import (
     HadamardMatrix,
     kronecker,
@@ -101,3 +102,38 @@ def test_size_guards():
     big = sylvester(10)
     with pytest.raises(ValueError):
         kronecker(big, sylvester(11))
+
+
+@pytest.fixture
+def refuse_allocation(monkeypatch):
+    """Arm a patch under which building or checking a matrix fails, so that a
+    guard must act before either."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a guarded order was allocated or checked")
+
+    def arm():
+        for name in ("block", "kron"):
+            monkeypatch.setattr(np, name, refuse)
+        monkeypatch.setattr(hadamard, "_gram", refuse)
+
+    return arm
+
+
+def test_orders_above_the_guard_fail_without_allocating(refuse_allocation):
+    h = sylvester(7)
+    refuse_allocation()
+    with pytest.raises(ValueError):
+        sylvester(14)
+    with pytest.raises(ValueError):
+        kronecker(h, h)
+
+
+def test_constructor_and_sylvester_read_the_guard(monkeypatch, refuse_allocation):
+    entries = sylvester(3).entries
+    monkeypatch.setattr(hadamard, "MAX_ORDER", 4)
+    refuse_allocation()
+    with pytest.raises(ValueError):
+        sylvester(3)
+    with pytest.raises(ValueError, match="guard"):
+        HadamardMatrix(entries)

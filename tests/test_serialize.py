@@ -66,8 +66,6 @@ def test_report_dict_excludes_elapsed_by_default():
     assert "elapsed" not in out
     assert out["passed"] is True
     assert out["seed"] == 3
-    with_elapsed = report_to_dict(report, include_elapsed=True)
-    assert "elapsed" in with_elapsed
 
 
 def test_dumps_deterministic_and_sorted():
