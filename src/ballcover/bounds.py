@@ -42,13 +42,13 @@ CSV_COLUMNS = (
 class BoundConstants:
     """Absolute constants of the bound statements.
 
-    Defaults are 1.0 and flagged "uncalibrated" in any output; calibration
-    reports a fitted c1 without ever substituting it into guarantees.
+    Defaults are 1.0 and flagged "uncalibrated" in any output, any other
+    value "calibrated"; calibration reports a fitted c1 without ever
+    substituting it into guarantees.
     """
 
     c1: float = 1.0
     c2: float = 1.0
-    calibrated: bool = False
 
     def __post_init__(self):
         # phrased so that NaN fails
@@ -56,17 +56,12 @@ class BoundConstants:
             raise ValueError(f"constants must be finite and positive, got c1={self.c1} c2={self.c2}")
 
     @property
+    def calibrated(self) -> bool:
+        return (self.c1, self.c2) != (1.0, 1.0)
+
+    @property
     def label(self) -> str:
         return "calibrated" if self.calibrated else "uncalibrated"
-
-    def derived_polynomial_exponent(self, c3: float = 1.0) -> float:
-        """Leading-order exponent c4 in the polynomial regime mu = c3/sqrt(d).
-
-        With that mu the exponential branch evaluates to roughly
-        (c2 c3^2 / 2) ln d, so the size bound is about d**c4 with
-        c4 = c2 c3^2 / 2. Reported derivation, not an independent input.
-        """
-        return 0.5 * self.c2 * c3 * c3
 
 
 def _linear(log_value: float) -> float:

@@ -2,8 +2,9 @@
 witnesses, bound tables, and a deterministic self-test.
 
 Exit codes: 0 success, 1 usage or internal error, 2 verification failure.
-Every emitted artifact records the seed; timing never enters the JSON so
-identical invocations produce byte-identical output.
+Each command returns (payload, passed); main alone records the seed in the
+payload, writes it and maps the verdict to the exit code. Timing never enters
+the JSON, so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -77,54 +78,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(ENV_SEED, "0"))
-
-
-def _emit(payload: dict, out_path: str | None, force_stdout: bool) -> None:
-    text = dumps(payload)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-        if force_stdout:
-            sys.stdout.write(text)
-        else:
-            print(f"wrote {out_path}")
-    else:
-        sys.stdout.write(text)
-
-
 def _parse_p(raw: str) -> float:
     return math.inf if raw in ("inf", "Inf", "INF") else float(raw)
 
 
-def _power_of_two_exponent(n: int) -> int | None:
-    if n < 1 or (n & (n - 1)) != 0:
-        return None
-    return n.bit_length() - 1
+def _sylvester(order: int, least: int):
+    # the constructions cover powers of two only
+    if order < least or order & (order - 1):
+        raise ValueError(f"order {order} is not an available Hadamard order (a power of two >= {least})")
+    return sylvester(order.bit_length() - 1)
 
 
-def _cmd_hadamard(args) -> int:
-    k = _power_of_two_exponent(args.order)
-    if k is None:
-        print(
-            f"order {args.order} is not available (constructions cover powers of two)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    h = sylvester(k)
+def _cmd_hadamard(args):
+    h = _sylvester(args.order, 1)
     # a HadamardMatrix has passed the exact check when it was constructed
-    payload = {"order": h.order, "rows": h.entries.tolist(), "verified": True, "seed": args.seed}
-    _emit(payload, args.out, args.json)
-    return EXIT_OK
+    return {"order": h.order, "rows": h.entries.tolist(), "verified": True}, True
 
 
-def _cmd_etf(args) -> int:
-    k = _power_of_two_exponent(args.order)
-    if k is None or args.order < 2:
-        print(f"order {args.order} is not an available Hadamard order >= 2", file=sys.stderr)
-        return EXIT_USAGE
-    frame = etf_from_hadamard(sylvester(k))
+def _cmd_etf(args):
+    frame = etf_from_hadamard(_sylvester(args.order, 2))
     gram_dev = frame.gram_deviation()
     worst = [0.0, 0.0, 0.0]
     for x in sample_sphere(LpSpace(frame.dim, 2.0), 50, args.seed):
@@ -136,34 +108,29 @@ def _cmd_etf(args) -> int:
         "gram_max_deviation": gram_dev,
         "worst_identity_residuals": worst,
         "verified": bool(gram_dev <= 1e-12 and max(worst) <= 1e-10),
-        "seed": args.seed,
     }
-    _emit(payload, args.out, args.json)
-    return EXIT_OK if payload["verified"] else EXIT_VERIFY
+    return payload, payload["verified"]
 
 
-def _cmd_dict_greedy(args) -> int:
+def _cmd_dict_greedy(args):
     space = LpSpace(args.d, _parse_p(args.p))
     dictionary = greedy_maximal_dictionary(space, args.mu, args.seed, args.saturation)
-    payload = dictionary_to_dict(dictionary, seed=args.seed)
+    payload = dictionary_to_dict(dictionary)
     payload["mu"] = args.mu
     if len(dictionary) >= 2:
         payload["coherence"] = coherence_banach(dictionary)
-    _emit(payload, args.out, args.json)
-    return EXIT_OK
+    return payload, True
 
 
-def _cmd_dict_coherence(args) -> int:
+def _cmd_dict_coherence(args):
     with open(args.infile) as fh:
         dictionary = dictionary_from_dict(json.load(fh))
     payload = {
         "n": len(dictionary),
         "coherence": coherence_banach(dictionary),
         "rank": coherence_matrix(dictionary).numeric_rank(),
-        "seed": args.seed,
     }
-    _emit(payload, args.out, args.json)
-    return EXIT_OK
+    return payload, True
 
 
 def _certified_dictionary(space, mu, seed, saturation, samples):
@@ -215,17 +182,15 @@ CONSTRUCTIONS = {
 }
 
 
-def _cmd_cover_build(args) -> int:
+def _cmd_cover_build(args):
     needs_p2, build = CONSTRUCTIONS[args.construction]
     p = _parse_p(args.p)
     if needs_p2 and p != 2.0:
         raise ValueError(f"construction {args.construction!r} requires p = 2")
-    cov = iterate_cover(build(args, LpSpace(args.d, p)), args.iterate)
-    _emit(covering_to_dict(cov, seed=args.seed), args.out, args.json)
-    return EXIT_OK
+    return covering_to_dict(iterate_cover(build(args, LpSpace(args.d, p)), args.iterate)), True
 
 
-def _cmd_cover_verify(args) -> int:
+def _cmd_cover_verify(args):
     with open(args.infile) as fh:
         cov = covering_from_dict(json.load(fh))
     n_sphere = args.samples // 2
@@ -245,11 +210,10 @@ def _cmd_cover_verify(args) -> int:
         }
         passed = passed and adv_ok
     payload["passed"] = passed
-    _emit(payload, args.out, args.json)
-    return EXIT_OK if passed else EXIT_VERIFY
+    return payload, passed
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args):
     with open(args.centers) as fh:
         centers = np.asarray(json.load(fh)["centers"], dtype=float)
     space = LpSpace(args.d, _parse_p(args.p))
@@ -258,10 +222,8 @@ def _cmd_witness(args) -> int:
         "witness": z.tolist(),
         "norm": norm(space, z),
         "min_distance": float(nearest(space, z, centers)[1][0]),
-        "seed": args.seed,
     }
-    _emit(payload, args.out, args.json)
-    return EXIT_OK
+    return payload, True
 
 
 def _parse_grid(raw: str) -> np.ndarray:
@@ -274,23 +236,20 @@ def _parse_grid(raw: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _cmd_bounds_table(args) -> int:
+def _cmd_bounds_table(args):
     space = LpSpace(args.d, _parse_p(args.p))
-    constants = BoundConstants(
-        c1=args.c1, c2=args.c2, calibrated=(args.c1 != 1.0 or args.c2 != 1.0)
-    )
+    constants = BoundConstants(c1=args.c1, c2=args.c2)
     rows = covering_bound_table(space, _parse_grid(args.delta_grid), constants)
     if args.csv:
         table_to_csv(rows, args.csv)
         print(f"wrote {args.csv} (constants {constants.label}: C1={constants.c1} C2={constants.c2})")
-    if args.json or not args.csv:
-        payload = {
-            "constants": {"c1": constants.c1, "c2": constants.c2, "label": constants.label},
-            "rows": [asdict(row) for row in rows],
-            "seed": args.seed,
-        }
-        sys.stdout.write(dumps(payload))
-    return EXIT_OK
+        if not (args.json or args.out):
+            return None, True
+    payload = {
+        "constants": {"c1": constants.c1, "c2": constants.c2, "label": constants.label},
+        "rows": [asdict(row) for row in rows],
+    }
+    return payload, True
 
 
 def _selftest_checks(seed: int):
@@ -438,10 +397,9 @@ def run_selftest(seed: int) -> dict:
     return {"seed": seed, "checks": checks, "all_passed": bool(all_passed)}
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     report = run_selftest(args.seed)
-    _emit(report, args.out, args.json)
-    return EXIT_OK if report["all_passed"] else EXIT_VERIFY
+    return report, report["all_passed"]
 
 
 def _add_common(parser) -> None:
@@ -530,13 +488,28 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "seed", None) is None:
-        args.seed = _default_seed()
     try:
-        return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+        if args.seed is None:
+            raw = os.environ.get(ENV_SEED, "0")
+            try:
+                args.seed = int(raw)
+            except ValueError:
+                raise ValueError(f"${ENV_SEED} must be an integer, got {raw!r}") from None
+        payload, passed = args.func(args)
+        if payload is not None:
+            payload["seed"] = args.seed
+            text = dumps(payload)
+            if args.out:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            if args.json or not args.out:
+                sys.stdout.write(text)
+            else:
+                print(f"wrote {args.out}")
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 if __name__ == "__main__":

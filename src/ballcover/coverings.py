@@ -40,6 +40,7 @@ STRICT_OPEN = "strict_open"
 UNIFORM = "uniform"
 
 MAX_ITERATED_CENTERS = 10_000_000
+REACH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -86,14 +87,14 @@ class BallCovering:
     def __len__(self) -> int:
         return self.centers.shape[0]
 
-    def check_reach(self, tol: float = 1e-9) -> "BallCovering":
-        """Raise if some ball cannot touch the unit ball (||c|| > 1 + radius).
+    def check_reach(self) -> "BallCovering":
+        """Raise if some ball cannot touch the unit ball (||c|| > 1 + radius + REACH_TOL).
 
         Enforced by the single-stage constructors; iterated covers may carry
         unreachable composed centers and skip this check.
         """
         worst = float(np.max(norms(self.space, self.centers)))
-        if not (worst <= 1.0 + self.radius + tol):
+        if not (worst <= 1.0 + self.radius + REACH_TOL):
             raise ValueError(
                 f"center at norm {worst} cannot reach the unit ball at radius {self.radius}"
             )
@@ -232,29 +233,22 @@ def axis_cover(d: int) -> tuple[BallCovering, CoverMargin]:
     return cov, CoverMargin(UNIFORM, margin)
 
 
-def basis_cover(space: LpSpace, k_const: float = 1.0, basis=None) -> BallCovering:
-    """2d closed balls at +-a psi_j with mu = 1/(K d) and a the step-size root.
+def basis_cover(space: LpSpace, k_const: float = 1.0) -> BallCovering:
+    """2d closed balls at +-a e_j with mu = 1/(K d) and a the step-size root.
 
-    Deterministic pigeonhole guarantee: expanding x in the basis shows some
-    |F_x(psi_k)| >= 1/(Kd), so radius 1 - a mu / 2 suffices for ||x|| >= 1/2
-    and the build-time requirement radius >= 1/2 + a covers the rest. The
-    default basis is the standard one (K = 1 in lp); a caller-supplied basis
-    must declare its own constant K.
+    Deterministic pigeonhole guarantee: expanding x in the standard basis
+    (K = 1 in lp) shows some |F_x(e_k)| >= 1/(Kd), so radius 1 - a mu / 2
+    suffices for ||x|| >= 1/2 and the build-time requirement radius >= 1/2 + a
+    covers the rest. A larger K only shrinks mu.
     """
     if not space.smooth:
         raise ValueError("requires 1 < p < inf")
     if not k_const >= 1.0:
         raise ValueError(f"basis constant K must be at least 1, got {k_const}")
-    if basis is None:
-        basis_arr = np.identity(space.d)
-    else:
-        basis_arr = np.atleast_2d(np.asarray(basis, dtype=float))
-        if basis_arr.shape != (space.d, space.d):
-            raise ValueError(f"basis must be d x d, got {basis_arr.shape}")
     mu = 1.0 / (k_const * space.d)
     return _smooth_cover(
         space,
-        basis_arr,
+        np.identity(space.d),
         mu,
         smoothness_majorant_for(space),
         lambda a: f"basis(d={space.d}, K={k_const!r}, mu={mu!r}, a={a!r})",

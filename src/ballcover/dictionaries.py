@@ -23,6 +23,7 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-12
 DUPLICATE_TOL = 1e-9
+RANK_RATIO = 1e-9
 
 
 @dataclass
@@ -87,12 +88,12 @@ class CoherenceMatrix:
 
     entries: np.ndarray
 
-    def numeric_rank(self, ratio: float = 1e-9) -> int:
-        """Count of singular values above ratio times the largest."""
+    def numeric_rank(self) -> int:
+        """Count of singular values above RANK_RATIO times the largest."""
         s = np.linalg.svd(self.entries, compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
             return 0
-        return int(np.sum(s > ratio * s[0]))
+        return int(np.sum(s > RANK_RATIO * s[0]))
 
 
 def coherence_matrix(d: Dictionary) -> CoherenceMatrix:

@@ -14,6 +14,8 @@ from .spaces import LpSpace
 
 __all__ = ["TightFrame", "etf_from_hadamard", "frame_gram", "verify_frame_identities"]
 
+GRAM_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TightFrame:
@@ -53,10 +55,10 @@ class TightFrame:
         target = (1.0 + 1.0 / n) * np.identity(n + 1) - np.full((n + 1, n + 1), 1.0 / n)
         return float(np.max(np.abs(frame_gram(self) - target)))
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Raise unless the Gram matrix equals (1 + 1/d) I - (1/d) J within tol."""
+    def validate(self) -> None:
+        """Raise unless the Gram matrix equals (1 + 1/d) I - (1/d) J within GRAM_TOL."""
         dev = self.gram_deviation()
-        if not (dev <= tol):
+        if not (dev <= GRAM_TOL):
             raise ValueError(f"Gram matrix deviates from the equiangular target by {dev:.3e}")
 
 

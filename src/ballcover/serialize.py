@@ -45,43 +45,42 @@ def space_to_dict(space: LpSpace) -> dict:
 
 
 def space_from_dict(obj) -> LpSpace:
+    # d goes to LpSpace as read, which rejects a non-integral dimension
     p = obj["p"]
-    return LpSpace(int(obj["d"]), math.inf if p == "inf" else float(p))
+    return LpSpace(obj["d"], math.inf if p == "inf" else float(p))
 
 
-def covering_to_dict(cov: BallCovering, seed: int | None = None) -> dict:
-    out = {
+def covering_to_dict(cov: BallCovering) -> dict:
+    return {
         "space": space_to_dict(cov.space),
         "centers": cov.centers.tolist(),
         "radius": cov.radius,
         "closed": cov.closed,
         "provenance": cov.provenance,
     }
-    if seed is not None:
-        out["seed"] = seed
-    return out
 
 
 def covering_from_dict(obj) -> BallCovering:
     # no reach check on load: files may carry iterated covers
+    closed = obj["closed"]
+    if not isinstance(closed, bool):
+        # bool("false") is True, and a closed cover passes at a weaker margin
+        raise ValueError(f"closed must be true or false, got {closed!r}")
     return BallCovering(
         space=space_from_dict(obj["space"]),
         centers=np.asarray(obj["centers"], dtype=float),
         radius=float(obj["radius"]),
-        closed=bool(obj["closed"]),
+        closed=closed,
         provenance=str(obj["provenance"]),
     )
 
 
-def dictionary_to_dict(dictionary: Dictionary, seed: int | None = None) -> dict:
-    out = {
+def dictionary_to_dict(dictionary: Dictionary) -> dict:
+    return {
         "space": space_to_dict(dictionary.space),
         "vectors": dictionary.vectors.tolist(),
         "trials": dictionary.trials_used,
     }
-    if seed is not None:
-        out["seed"] = seed
-    return out
 
 
 def dictionary_from_dict(obj) -> Dictionary:

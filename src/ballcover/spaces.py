@@ -29,6 +29,8 @@ __all__ = [
     "ball_from_rng",
 ]
 
+BISECT_ITERS = 200
+
 
 @dataclass(frozen=True)
 class LpSpace:
@@ -193,7 +195,7 @@ def solve_step_size(majorant: SmoothnessMajorant, mu: float) -> float:
     return min(a, 1.0)
 
 
-def solve_step_size_bisect(omega, mu: float, iters: int = 200) -> float:
+def solve_step_size_bisect(omega, mu: float) -> float:
     """Bisection solver of 4*omega(2a) = a*mu on [1e-15, 1] for callable majorants.
 
     Agrees with the closed form for power majorants; returns 1.0 when the
@@ -211,7 +213,7 @@ def solve_step_size_bisect(omega, mu: float, iters: int = 200) -> float:
     if resid(lo) >= 0.0:
         # root sits below the bracket; omega(u)/u has not vanished at this scale
         return lo
-    for _ in range(iters):
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if resid(mid) < 0.0:
             lo = mid

@@ -348,12 +348,11 @@ def linf_vertex_check(
         inside = np.max(np.abs(vertices - center[None, :]), axis=1) < 1.0
         max_in_ball = max(max_in_ball, int(np.count_nonzero(inside)))
 
-    if 1 << d <= 1024:
-        pair = cdist(vertices, vertices, metric="chebyshev")
-        np.fill_diagonal(pair, 2.0)
-        pair_distance = float(np.min(pair))
-    else:
-        pair_distance = 2.0  # distinct sign vectors differ by exactly 2 somewhere
+    # rows with entries +-1 and bit codes 0..2**d - 1 are the distinct sign
+    # vectors, and two of them differ by exactly 2 somewhere; NaN if not shown
+    codes = (vertices > 0.0).astype(np.int64) @ (1 << np.arange(d, dtype=np.int64))
+    signs = np.all(np.abs(vertices) == 1.0) and np.array_equal(codes, np.arange(1 << d))
+    pair_distance = 2.0 if signs else math.nan
 
     return VertexCoverReport(
         d=d,
@@ -476,13 +475,13 @@ def harden_dictionary(
     return False, core.dictionary(dictionary.trials_used)
 
 
-def simplex_dichotomy_check(points, tol: float = PASS_TOL) -> np.ndarray:
+def simplex_dichotomy_check(points) -> np.ndarray:
     """Per-point dichotomy for the unit-radius simplex cover in l2.
 
     With a = 1/(2d): either some coordinate y_k > a/2 puts the point strictly
     inside the unit ball at a e_k, or the squared distance to the center
-    -a (1, ..., 1) is at most 1 - 1/(4d) + tol. Returns a boolean row per
-    point.
+    -a (1, ..., 1) is at most 1 - 1/(4d) + PASS_TOL. Returns a boolean row
+    per point.
     """
     y = np.atleast_2d(np.asarray(points, dtype=float))
     d = y.shape[1]
@@ -491,5 +490,5 @@ def simplex_dichotomy_check(points, tol: float = PASS_TOL) -> np.ndarray:
     dist_axis_sq = sq[:, None] - 2.0 * a * y + a * a
     case_axis = np.any((y > 0.5 * a) & (dist_axis_sq < 1.0), axis=1)
     dist_last_sq = sq + 2.0 * a * np.sum(y, axis=1) + d * a * a
-    case_last = dist_last_sq <= 1.0 - 1.0 / (4.0 * d) + tol
+    case_last = dist_last_sq <= 1.0 - 1.0 / (4.0 * d) + PASS_TOL
     return case_axis | case_last

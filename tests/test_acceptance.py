@@ -99,7 +99,7 @@ def test_unit_simplex_dichotomy():
     start = time.perf_counter()
     for d in (1, 2, 4, 8, 16, 32, 64):
         pts = _ball_sphere(d, 10000, SEED + d)
-        assert np.all(simplex_dichotomy_check(pts, tol=1e-12)), f"dichotomy failed at d={d}"
+        assert np.all(simplex_dichotomy_check(pts)), f"dichotomy failed at d={d}"
         cov, _ = simplex_cover_unit(d)
         assert len(cov) == d + 1
     elapsed = time.perf_counter() - start

@@ -98,8 +98,7 @@ def test_constants_validation_and_label():
         with pytest.raises(ValueError):
             BoundConstants(c2=bad)
     assert BoundConstants().label == "uncalibrated"
-    assert BoundConstants(calibrated=True).label == "calibrated"
-    assert BoundConstants(c2=2.0).derived_polynomial_exponent(1.0) == pytest.approx(1.0)
+    assert BoundConstants(c1=1.0, c2=2.0).label == "calibrated"
 
 
 def test_mu_delta_roundtrip_p2():

@@ -25,8 +25,13 @@ def test_hadamard_order8(tmp_path):
     assert np.array_equal(h.T @ h, 8 * np.identity(8))
 
 
-def test_hadamard_unavailable_order():
-    assert main(["hadamard", "--order", "7"]) == 1
+def test_hadamard_unavailable_order(capsys):
+    # hadamard and etf share one order check, reported as one error line
+    for argv in (["hadamard", "--order", "7"], ["etf", "--order", "1"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: order ") and captured.err.count("\n") == 1
 
 
 def test_hadamard_order_above_guard_fails_before_building(monkeypatch, tmp_path):
@@ -263,6 +268,17 @@ def test_bounds_table_csv(tmp_path):
     assert len(lines) == 6
 
 
+def test_bounds_table_out_writes_json(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    argv = ["bounds", "table", "--d", "4", "--p", "2", "--delta-grid", "0.01:0.2:3", "--c2", "2"]
+    assert main([*argv, "--seed", "6", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    blob = _read(out)
+    assert blob["seed"] == 6
+    assert blob["constants"] == {"c1": 1.0, "c2": 2.0, "label": "calibrated"}
+    assert len(blob["rows"]) == 3
+
+
 def test_bounds_table_rejects_nan_constants(capsys):
     argv = ["bounds", "table", "--d", "4", "--p", "2", "--delta-grid", "0.01:0.2:2"]
     assert main([*argv, "--c1", "nan", "--c2", "nan"]) == 1
@@ -302,3 +318,14 @@ def test_env_seed_override(tmp_path, monkeypatch):
     out = tmp_path / "h.json"
     assert main(["hadamard", "--order", "2", "--out", str(out)]) == 0
     assert _read(out)["seed"] == 123
+
+
+def test_env_seed_not_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BALLCOVER_SEED", "abc")
+    out = tmp_path / "h.json"
+    assert main(["hadamard", "--order", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: $BALLCOVER_SEED")
+    assert not out.exists()

@@ -224,10 +224,7 @@ def test_basis_cover_d1():
     np.testing.assert_allclose(sorted(cov.centers[:, 0]), [-a, a])
 
 
-def test_basis_cover_custom_basis_and_validation():
-    basis = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cov = basis_cover(LpSpace(2, 2.0), 1.0, basis=basis)
-    assert len(cov) == 4
+def test_basis_cover_validation():
     with pytest.raises(ValueError):
         basis_cover(LpSpace(2, 2.0), 0.5)
     with pytest.raises(ValueError):

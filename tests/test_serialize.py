@@ -35,7 +35,7 @@ def test_space_roundtrip():
 
 def test_covering_roundtrip_exact():
     cov, _ = axis_cover(3)
-    blob = json.dumps(covering_to_dict(cov, seed=5))
+    blob = json.dumps(covering_to_dict(cov))
     again = covering_from_dict(json.loads(blob))
     assert np.array_equal(again.centers, cov.centers)
     assert again.radius == cov.radius
@@ -51,9 +51,29 @@ def test_iterated_covering_roundtrip():
     assert again.radius == cov.radius
 
 
+@pytest.mark.parametrize("closed", ["false", "true", 0, 1, None])
+def test_covering_loader_rejects_non_boolean_closed(closed):
+    blob = covering_to_dict(axis_cover(2)[0])
+    blob["closed"] = closed
+    with pytest.raises(ValueError, match="closed"):
+        covering_from_dict(blob)
+
+
+def test_loaders_reject_non_integral_dimension():
+    blob = covering_to_dict(axis_cover(2)[0])
+    blob["space"]["d"] = 2.9
+    with pytest.raises(ValueError, match="dimension"):
+        covering_from_dict(blob)
+    d = Dictionary(space=LpSpace(2, 4.0), vectors=np.identity(2), trials_used=None)
+    blob = dictionary_to_dict(d)
+    blob["space"]["d"] = 2.9
+    with pytest.raises(ValueError, match="dimension"):
+        dictionary_from_dict(blob)
+
+
 def test_dictionary_roundtrip():
     d = Dictionary(space=LpSpace(2, 4.0), vectors=np.identity(2), trials_used=17)
-    again = dictionary_from_dict(json.loads(json.dumps(dictionary_to_dict(d, seed=1))))
+    again = dictionary_from_dict(json.loads(json.dumps(dictionary_to_dict(d))))
     assert np.array_equal(again.vectors, d.vectors)
     assert again.trials_used == 17
     assert again.space == d.space
@@ -121,8 +141,8 @@ def test_dumps_equals_json_indent(c_make_encoder, obj):
 
 _GOLDEN = {
     "sylvester-10": lambda: {"order": 1024, "rows": sylvester(10).entries.tolist()},
-    "etf-cover-255": lambda: covering_to_dict(etf_cover(255)[0], seed=1),
-    "iterated-axis-16": lambda: covering_to_dict(iterate_cover(axis_cover(16)[0], 2), seed=1),
+    "etf-cover-255": lambda: covering_to_dict(etf_cover(255)[0]),
+    "iterated-axis-16": lambda: covering_to_dict(iterate_cover(axis_cover(16)[0], 2)),
     "selftest-7": lambda: run_selftest(7),
 }
 
