@@ -66,7 +66,6 @@ from .spaces import (
 )
 from .verify import (
     CoverageReport,
-    MaximalityRepairError,
     VertexCoverReport,
     adversarial_search,
     affine_hull_distance,

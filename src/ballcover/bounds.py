@@ -174,8 +174,7 @@ def covering_bound_table(
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
         eps = 1.0 - delta
-        log_lower = -d * math.log(eps)
-        log_vol = d * math.log1p(2.0 / eps)
+        vol = volumetric_bounds(d, eps)
         mu = mu_from_delta(space, delta)
         if p >= 2.0:
             exponent = 8.0 * constants.c2 * d * p * delta * math.log(1.0 / (4.0 * p * delta))
@@ -191,8 +190,8 @@ def covering_bound_table(
             BoundTableRow(
                 delta=delta,
                 mu=mu,
-                log_lower=log_lower,
-                log_volumetric_upper=log_vol,
+                log_lower=vol.log_lower,
+                log_volumetric_upper=vol.log_upper,
                 log_regime_upper=log_regime,
                 log_iterated=log_iterated,
                 regime_flag="polynomial" if polynomial else "exponential",

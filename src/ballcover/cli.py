@@ -52,7 +52,6 @@ from .spaces import (
 )
 from .verify import (
     ADVERSARIAL_TOL,
-    MaximalityRepairError,
     adversarial_search,
     certify_maximality,
     certify_sampling,
@@ -140,10 +139,7 @@ def _certified_dictionary(space, mu, seed, saturation, samples):
     gives (False, the dictionary as augmented so far).
     """
     dictionary = greedy_maximal_dictionary(space, mu, seed, saturation)
-    try:
-        return certify_maximality(dictionary, mu, samples, seed + 1)
-    except MaximalityRepairError as err:
-        return False, err.dictionary
+    return certify_maximality(dictionary, mu, samples, seed + 1)
 
 
 def _build_dictionary(args, space):

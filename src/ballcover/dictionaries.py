@@ -130,6 +130,7 @@ class _Admission:
         if not 0.0 < mu < 1.0:
             raise ValueError(f"mu must lie in (0, 1), got {mu}")
         self.space = space
+        self.mu = mu
         self.euclidean = space.p == 2.0
         start = np.asarray(vectors, dtype=float).reshape(-1, space.d)
         self.size = start.shape[0]
@@ -167,6 +168,14 @@ class _Admission:
         self._funcs[self.size] = fx
         self.size += 1
 
+    def admit(self, x: np.ndarray, fx: np.ndarray) -> bool:
+        """Admit x, whose one-sided score the caller has found <= mu, unless
+        some incumbent g has |F_g(x)| > mu; for p = 2 the two scores agree."""
+        if not self.euclidean and float(self.reverse(x[None, :])[0]) > self.mu:
+            return False
+        self.add(x, fx)
+        return True
+
     def dictionary(self, trials_used: int | None) -> Dictionary:
         return Dictionary(space=self.space, vectors=self.vectors.copy(), trials_used=trials_used)
 
@@ -198,8 +207,6 @@ def greedy_maximal_dictionary(
     core = _Admission(space, mu)
     if saturation_trials < 1:
         raise ValueError("saturation_trials must be positive")
-    from .verify import nearest  # deferred: verify imports this module
-
     rng = np.random.default_rng(seed)
     trials = 0
     rejected = 0
@@ -223,7 +230,7 @@ def greedy_maximal_dictionary(
             x, fx = xs[j], fxs[j]
             j += 1
             trials += 1
-            if core.size and nearest(space, x, core.vectors)[1][0] < DUPLICATE_TOL:
+            if core.size and np.min(norms(space, core.vectors - x)) < DUPLICATE_TOL:
                 rejected += 1
                 continue
             core.add(x, fx)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coverings import BallCovering
 from .dictionaries import Dictionary
-from .spaces import LpSpace
+from .spaces import LpSpace, _real
 from .verify import CoverageReport
 
 __all__ = [
@@ -44,10 +44,25 @@ def space_to_dict(space: LpSpace) -> dict:
     return {"d": space.d, "p": "inf" if math.isinf(space.p) else space.p}
 
 
+def _object(obj, what: str) -> dict:
+    # a JSON array or scalar would fail on its first key with a TypeError
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _floats(value, what: str) -> np.ndarray:
+    # float() raises TypeError for a JSON object among the entries
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError:
+        raise ValueError(f"{what} must be an array of numbers") from None
+
+
 def space_from_dict(obj) -> LpSpace:
-    # d goes to LpSpace as read, which rejects a non-integral dimension
-    p = obj["p"]
-    return LpSpace(obj["d"], math.inf if p == "inf" else float(p))
+    # d and p go to LpSpace as read, which rejects a non-integral dimension and non-numbers
+    p = _object(obj, "space")["p"]
+    return LpSpace(obj["d"], math.inf if p == "inf" else p)
 
 
 def covering_to_dict(cov: BallCovering) -> dict:
@@ -62,14 +77,17 @@ def covering_to_dict(cov: BallCovering) -> dict:
 
 def covering_from_dict(obj) -> BallCovering:
     # no reach check on load: files may carry iterated covers
-    closed = obj["closed"]
+    closed = _object(obj, "covering")["closed"]
     if not isinstance(closed, bool):
         # bool("false") is True, and a closed cover passes at a weaker margin
         raise ValueError(f"closed must be true or false, got {closed!r}")
+    radius = obj["radius"]
+    if not _real(radius):
+        raise ValueError(f"radius must be a number, got {radius!r}")
     return BallCovering(
         space=space_from_dict(obj["space"]),
-        centers=np.asarray(obj["centers"], dtype=float),
-        radius=float(obj["radius"]),
+        centers=_floats(obj["centers"], "centers"),
+        radius=radius,
         closed=closed,
         provenance=str(obj["provenance"]),
     )
@@ -84,9 +102,10 @@ def dictionary_to_dict(dictionary: Dictionary) -> dict:
 
 
 def dictionary_from_dict(obj) -> Dictionary:
+    _object(obj, "dictionary")
     return Dictionary(
         space=space_from_dict(obj["space"]),
-        vectors=np.asarray(obj["vectors"], dtype=float),
+        vectors=_floats(obj["vectors"], "vectors"),
         trials_used=obj.get("trials"),
     )
 

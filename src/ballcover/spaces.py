@@ -7,6 +7,7 @@ equation a*mu = 4*omega(2a), and seeded sampling of lp spheres and balls.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,10 @@ __all__ = [
 BISECT_ITERS = 200
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LpSpace:
     """R^d with the lp norm; p in (1, inf].
@@ -45,8 +50,12 @@ class LpSpace:
     p: float
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.d}")
+        # a bool is an int, and None or a string would raise TypeError or be
+        # parsed by int() and float(); phrased so that NaN and inf fail
+        if not (_real(self.d) and 1 <= self.d < math.inf and int(self.d) == self.d):
+            raise ValueError(f"dimension must be a positive integer, got {self.d!r}")
+        if not _real(self.p):
+            raise ValueError(f"norm exponent must be a number, got {self.p!r}")
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "p", float(self.p))
         if not self.p > 1.0:

@@ -6,7 +6,6 @@ count argument for l_inf, and empirical dictionary-maximality certification.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "ADVERSARIAL_TOL",
     "CoverageReport",
     "VertexCoverReport",
-    "MaximalityRepairError",
     "check_point",
     "nearest",
     "min_distances",
@@ -137,7 +135,6 @@ class CoverageReport:
     worst_margin: float
     failure_witness: np.ndarray | None
     seed: int
-    elapsed: float
     passed: bool
 
 
@@ -151,7 +148,6 @@ def certify_sampling(cov: BallCovering, n_ball: int, n_sphere: int, seed: int) -
     """
     if n_ball < 0 or n_sphere < 0 or n_ball + n_sphere < 1:
         raise ValueError("need at least one sample")
-    start = time.perf_counter()
     child = np.random.SeedSequence(seed).spawn(2)
     parts = []
     if n_ball:
@@ -169,7 +165,6 @@ def certify_sampling(cov: BallCovering, n_ball: int, n_sphere: int, seed: int) -
         worst_margin=worst,
         failure_witness=xs[int(np.argmax(bad))].copy() if any_bad else None,
         seed=seed,
-        elapsed=time.perf_counter() - start,
         passed=not any_bad,
     )
 
@@ -367,43 +362,21 @@ def linf_vertex_check(
     )
 
 
-class MaximalityRepairError(RuntimeError):
-    """A sampled counterexample cannot be admitted without breaking M(D) <= mu.
-
-    Carries the offending point and the dictionary as augmented so far, so a
-    pipeline can record the verdict and continue with the best available
-    dictionary.
-    """
-
-    def __init__(self, message: str, point: np.ndarray, dictionary: Dictionary):
-        super().__init__(message)
-        self.point = point
-        self.dictionary = dictionary
-
-
-def certify_maximality(
-    dictionary: Dictionary,
-    mu: float,
-    n: int,
-    seed: int,
-    max_augmentations: int | None = None,
-) -> tuple[bool, Dictionary]:
+def certify_maximality(dictionary: Dictionary, mu: float, n: int, seed: int) -> tuple[bool, Dictionary]:
     """Probe dictionary maximality on sphere samples, admitting counterexamples.
 
     A sample x with max_g |F_x(g)| <= mu shows the dictionary is not maximal;
     it is admitted (when that keeps the coherence bound, i.e. also
     |F_g(x)| <= mu for every g) and the clean-sample count restarts. Returns
-    (True, dictionary) after n consecutive clean samples, or
-    (False, dictionary) when max_augmentations runs out first. A
-    counterexample failing the two-sided admission test raises
-    MaximalityRepairError: the dictionary cannot be repaired this way.
+    (True, dictionary) after n consecutive clean samples, or (False, the
+    dictionary as augmented so far) at the first counterexample that fails
+    the two-sided admission test: augmentation cannot repair the dictionary.
     """
     core = _Admission(dictionary.space, mu, dictionary.vectors)
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     clean = 0
-    augmented = 0
     while clean < n:
         count = int(min(_MAXIMALITY_BATCH, n - clean))
         xs = sphere_from_rng(core.space, count, rng)
@@ -413,17 +386,8 @@ def certify_maximality(
             clean += count
             continue
         i = int(bad[0])
-        x = xs[i]
-        if not core.euclidean and float(core.reverse(x[None, :])[0]) > mu:
-            raise MaximalityRepairError(
-                "counterexample is not two-sided admissible; augmentation cannot repair this dictionary",
-                point=x,
-                dictionary=core.dictionary(dictionary.trials_used),
-            )
-        if max_augmentations is not None and augmented >= max_augmentations:
+        if not core.admit(xs[i], fxs[i]):
             return False, core.dictionary(dictionary.trials_used)
-        core.add(x, fxs[i])
-        augmented += 1
         clean = 0
     return True, core.dictionary(dictionary.trials_used)
 
@@ -469,9 +433,8 @@ def harden_dictionary(
             fx = core.functionals(x[None, :])
             if float(core.one_sided(fx)[0]) > mu:
                 continue  # deepest endpoint already fixed this one's basin
-            if not core.euclidean and float(core.reverse(x[None, :])[0]) > mu:
+            if not core.admit(x, fx[0]):
                 return False, core.dictionary(dictionary.trials_used)
-            core.add(x, fx[0])
     return False, core.dictionary(dictionary.trials_used)
 
 

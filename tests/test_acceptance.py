@@ -35,7 +35,6 @@ from ballcover.spaces import (
     solve_step_size,
 )
 from ballcover.verify import (
-    MaximalityRepairError,
     adversarial_search,
     certify_maximality,
     certify_sampling,
@@ -175,11 +174,7 @@ def test_banach_dictionary_pipeline():
     # certification may legitimately report an unrepairable counterexample in
     # an asymmetric space: one-sided maximality can be unreachable under
     # two-sided admission; record the verdict and certify the coverage
-    try:
-        maximal, dictionary = certify_maximality(dictionary, mu, 20000, seed=22)
-    except MaximalityRepairError as err:
-        maximal = False
-        dictionary = err.dictionary
+    maximal, dictionary = certify_maximality(dictionary, mu, 20000, seed=22)
     hardened, dictionary = harden_dictionary(
         dictionary,
         mu,

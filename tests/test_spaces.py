@@ -25,6 +25,15 @@ def test_space_validation():
     assert LpSpace(3, math.inf).q == 1.0
     assert LpSpace(3, 2.0).q == 2.0
     assert LpSpace(3, 4.0).q == pytest.approx(4.0 / 3.0, rel=1e-15)
+    space = LpSpace(np.int64(3), np.float64(4.0))
+    assert space == LpSpace(3, 4.0) and type(space.d) is int and type(space.p) is float
+
+
+@pytest.mark.parametrize("d, p", [(True, 2.0), (None, 2.0), ("3", 2.0), (math.inf, 2.0), (math.nan, 2.0),
+                                  (3, None), (3, "2"), (3, True)])
+def test_space_rejects_non_numbers(d, p):
+    with pytest.raises(ValueError):
+        LpSpace(d, p)
 
 
 def test_norm_pythagorean():

@@ -11,13 +11,12 @@ from ballcover.coverings import (
     simplex_cover_shrunk,
     simplex_cover_unit,
 )
-from ballcover.dictionaries import Dictionary, coherence_euclidean
+from ballcover.dictionaries import Dictionary, coherence_banach, coherence_euclidean
 from ballcover.frames import etf_from_hadamard
 from ballcover.hadamard import sylvester
 from ballcover.spaces import LpSpace, ball_from_rng, norm, norms, sample_sphere
 from ballcover.verify import (
     _BLOCK_ENTRIES,
-    MaximalityRepairError,
     adversarial_search,
     affine_hull_distance,
     certify_maximality,
@@ -307,30 +306,35 @@ def test_certify_maximality_augments_obvious_gap():
     assert coherence_euclidean(augmented) <= 0.5
 
 
-def test_certify_maximality_budget_exhaustion():
-    d = Dictionary(space=LpSpace(2, 2.0), vectors=[[1.0, 0.0]])
-    passed, augmented = certify_maximality(d, 0.5, 100, seed=56, max_augmentations=0)
-    assert not passed
-    assert len(augmented) == 1
-
-
-def test_certify_maximality_hard_failure_carries_dictionary():
+def test_certify_maximality_hard_failure_carries_dictionary(monkeypatch):
     # l4 at mu = 0.5 has one-sided counterexamples that are not two-sided
-    # admissible; the error must surface the partially augmented dictionary
+    # admissible; the verdict is False with the dictionary augmented so far
     space = LpSpace(8, 4.0)
-    from ballcover.dictionaries import greedy_maximal_dictionary
-
-    d = greedy_maximal_dictionary(space, 0.5, seed=21)
-    with pytest.raises(MaximalityRepairError) as exc_info:
-        certify_maximality(d, 0.5, 50000, seed=22)
-    err = exc_info.value
-    assert isinstance(err.dictionary, Dictionary)
-    assert err.point.shape == (8,)
-    # the offender is a genuine one-sided counterexample
+    from ballcover.dictionaries import _Admission, greedy_maximal_dictionary
     from ballcover.spaces import norming_coords
 
-    fx = norming_coords(space, err.point[None, :])[0]
-    assert float(np.max(np.abs(err.dictionary.vectors @ fx))) <= 0.5
+    refused = []
+    admit = _Admission.admit
+
+    def spy(core, x, fx):
+        ok = admit(core, x, fx)
+        if not ok:
+            refused.append(x.copy())
+        return ok
+
+    monkeypatch.setattr(_Admission, "admit", spy)
+    d = greedy_maximal_dictionary(space, 0.5, seed=21)
+    passed, augmented = certify_maximality(d, 0.5, 50000, seed=22)
+    assert not passed
+    assert isinstance(augmented, Dictionary)
+    assert np.array_equal(augmented.vectors[: len(d)], d.vectors)
+    assert coherence_banach(augmented) <= 0.5 + 1e-12
+    # the offender is a genuine one-sided counterexample that fails the reverse test
+    assert len(refused) == 1 and refused[0].shape == (8,)
+    x = refused[0]
+    fx = norming_coords(space, x[None, :])[0]
+    assert float(np.max(np.abs(augmented.vectors @ fx))) <= 0.5
+    assert float(np.max(np.abs(norming_coords(space, augmented.vectors) @ x))) > 0.5
 
 
 def test_sampling_and_adversarial_agree():
