@@ -33,13 +33,11 @@ from .coverings import (
     simplex_cover_unit,
 )
 from .dictionaries import (
-    CoherenceMatrix,
     Dictionary,
     coherence_banach,
-    coherence_euclidean,
     coherence_matrix,
-    functional_matrix,
     greedy_maximal_dictionary,
+    numeric_rank,
 )
 from .frames import TightFrame, etf_from_hadamard, frame_gram, verify_frame_identities
 from .hadamard import (
@@ -51,11 +49,10 @@ from .hadamard import (
     verify_hadamard,
 )
 from .spaces import (
-    DualVector,
     LpSpace,
     SmoothnessMajorant,
     norm,
-    norming_functional,
+    norming_coords,
     norms,
     sample_ball,
     sample_sphere,

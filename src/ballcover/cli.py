@@ -29,10 +29,12 @@ from .coverings import (
     simplex_cover_shrunk,
     simplex_cover_unit,
 )
-from .dictionaries import coherence_banach, coherence_matrix, greedy_maximal_dictionary
-from .frames import etf_from_hadamard, verify_frame_identities
+from .dictionaries import coherence_banach, coherence_matrix, greedy_maximal_dictionary, numeric_rank
+from .frames import GRAM_TOL, etf_from_hadamard, verify_frame_identities
 from .hadamard import sylvester, verify_hadamard
 from .serialize import (
+    _floats,
+    _object,
     covering_from_dict,
     covering_to_dict,
     dictionary_from_dict,
@@ -106,7 +108,7 @@ def _cmd_etf(args):
         "vectors": frame.matrix.T.tolist(),
         "gram_max_deviation": gram_dev,
         "worst_identity_residuals": worst,
-        "verified": bool(gram_dev <= 1e-12 and max(worst) <= 1e-10),
+        "verified": bool(gram_dev <= GRAM_TOL and max(worst) <= 1e-10),
     }
     return payload, payload["verified"]
 
@@ -127,7 +129,7 @@ def _cmd_dict_coherence(args):
     payload = {
         "n": len(dictionary),
         "coherence": coherence_banach(dictionary),
-        "rank": coherence_matrix(dictionary).numeric_rank(),
+        "rank": numeric_rank(coherence_matrix(dictionary)),
     }
     return payload, True
 
@@ -211,7 +213,7 @@ def _cmd_cover_verify(args):
 
 def _cmd_witness(args):
     with open(args.centers) as fh:
-        centers = np.asarray(json.load(fh)["centers"], dtype=float)
+        centers = _floats(_object(json.load(fh), "centers file")["centers"], "centers")
     space = LpSpace(args.d, _parse_p(args.p))
     z = uncovered_witness(space, centers)
     payload = {
@@ -259,7 +261,7 @@ def _selftest_checks(seed: int):
         worst = 0.0
         for k in (1, 2, 3, 4, 5, 6):
             worst = max(worst, etf_from_hadamard(sylvester(k)).gram_deviation())
-        return worst <= 1e-12, {"worst_gram_deviation": worst}
+        return worst <= GRAM_TOL, {"worst_gram_deviation": worst}
 
     def simplex_dichotomy():
         results = {}

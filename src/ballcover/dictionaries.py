@@ -1,6 +1,5 @@
-"""Dictionaries of unit vectors: coherence in the Euclidean and the
-norming-functional sense, the functional cross-product matrix, and greedy
-construction of maximal incoherent dictionaries.
+"""Dictionaries of unit vectors: coherence and the cross matrix of norming
+functionals, and greedy construction of maximal incoherent dictionaries.
 """
 
 from __future__ import annotations
@@ -13,11 +12,9 @@ from .spaces import LpSpace, norming_coords, norms, sphere_from_rng
 
 __all__ = [
     "Dictionary",
-    "CoherenceMatrix",
-    "coherence_euclidean",
     "coherence_banach",
-    "functional_matrix",
     "coherence_matrix",
+    "numeric_rank",
     "greedy_maximal_dictionary",
 ]
 
@@ -51,20 +48,13 @@ class Dictionary:
         return self.vectors.shape[0]
 
 
-def coherence_euclidean(d: Dictionary) -> float:
-    """Largest |<g, h>| over distinct pairs; Euclidean spaces only."""
-    if d.space.p != 2.0:
-        raise ValueError("Euclidean coherence requires p = 2")
+def _cross(d: Dictionary) -> np.ndarray:
+    """N x N matrix of functional values F_{g_i}(g_j), 1 < p < inf."""
+    if not d.space.smooth:
+        raise ValueError("coherence via norming functionals requires 1 < p < inf")
     if len(d) < 2:
         raise ValueError("coherence needs at least two vectors")
-    g = d.vectors @ d.vectors.T
-    np.fill_diagonal(g, 0.0)
-    return float(np.max(np.abs(g)))
-
-
-def functional_matrix(d: Dictionary) -> np.ndarray:
-    """Rows are the norming-functional coordinates of each dictionary vector."""
-    return norming_coords(d.space, d.vectors)
+    return norming_coords(d.space, d.vectors) @ d.vectors.T
 
 
 def coherence_banach(d: Dictionary) -> float:
@@ -72,45 +62,32 @@ def coherence_banach(d: Dictionary) -> float:
 
     F_g is the unique norming functional of g; the two directions (g, h) and
     (h, g) can differ when p != 2, so the maximum runs over ordered pairs.
+    At p = 2 this is the Euclidean coherence max |<g, h>|.
     """
-    if not d.space.smooth:
-        raise ValueError("coherence via norming functionals requires 1 < p < inf")
-    if len(d) < 2:
-        raise ValueError("coherence needs at least two vectors")
-    c = functional_matrix(d) @ d.vectors.T
+    c = _cross(d)
     np.fill_diagonal(c, 0.0)
     return float(np.max(np.abs(c)))
 
 
-@dataclass(frozen=True)
-class CoherenceMatrix:
-    """Cross-product matrix c_ij = F_{g_i}(g_j): unit diagonal, rank at most d."""
+def coherence_matrix(d: Dictionary) -> np.ndarray:
+    """Cross matrix c_ij = F_{g_i}(g_j): unit diagonal, rank at most d.
 
-    entries: np.ndarray
-
-    def numeric_rank(self) -> int:
-        """Count of singular values above RANK_RATIO times the largest."""
-        s = np.linalg.svd(self.entries, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.sum(s > RANK_RATIO * s[0]))
-
-
-def coherence_matrix(d: Dictionary) -> CoherenceMatrix:
-    """N x N matrix of functional values F_{g_i}(g_j) = <w_i, g_j>.
-
-    The rows are combinations of the d coordinate slices of the functional
-    matrix, so the rank never exceeds d.
+    The rows are combinations of the d coordinate slices of the functionals,
+    so the rank never exceeds d.
     """
-    if not d.space.smooth:
-        raise ValueError("coherence matrix requires 1 < p < inf")
-    if len(d) < 2:
-        raise ValueError("coherence matrix needs at least two vectors")
-    c = functional_matrix(d) @ d.vectors.T
+    c = _cross(d)
     dev = float(np.max(np.abs(np.diag(c) - 1.0)))
     if dev > 1e-12:
         raise ValueError(f"coherence-matrix diagonal deviates from 1 by {dev:.3e}")
-    return CoherenceMatrix(entries=c)
+    return c
+
+
+def numeric_rank(m: np.ndarray) -> int:
+    """Count of singular values above RANK_RATIO times the largest."""
+    s = np.linalg.svd(m, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > RANK_RATIO * s[0]))
 
 
 class _Admission:
@@ -243,7 +220,7 @@ def greedy_maximal_dictionary(
     out = core.dictionary(trials)
     if len(out) >= 2:
         # post-hoc recheck of the coherence invariant, phrased so that NaN fails
-        m = coherence_euclidean(out) if core.euclidean else coherence_banach(out)
+        m = coherence_banach(out)
         if not (m <= mu + 1e-12):
             raise RuntimeError(f"greedy admission violated the coherence bound: {m} > {mu}")
     return out

@@ -84,12 +84,15 @@ def covering_from_dict(obj) -> BallCovering:
     radius = obj["radius"]
     if not _real(radius):
         raise ValueError(f"radius must be a number, got {radius!r}")
+    provenance = obj["provenance"]
+    if not isinstance(provenance, str):
+        raise ValueError(f"provenance must be a string, got {provenance!r}")
     return BallCovering(
         space=space_from_dict(obj["space"]),
         centers=_floats(obj["centers"], "centers"),
         radius=radius,
         closed=closed,
-        provenance=str(obj["provenance"]),
+        provenance=provenance,
     )
 
 

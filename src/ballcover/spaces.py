@@ -15,10 +15,8 @@ import numpy as np
 __all__ = [
     "LpSpace",
     "SmoothnessMajorant",
-    "DualVector",
     "norm",
     "norms",
-    "norming_functional",
     "norming_coords",
     "smoothness_majorant_for",
     "smoothness_upper_bound",
@@ -97,26 +95,6 @@ def norms(space: LpSpace, xs) -> np.ndarray:
     return np.linalg.norm(xs, ord=space.p, axis=1)
 
 
-@dataclass(frozen=True)
-class DualVector:
-    """Coordinates of a functional on an LpSpace; acts by the dot product."""
-
-    coords: np.ndarray
-    source_space: LpSpace
-
-    def __call__(self, y) -> float:
-        y = _check_vector(self.source_space, y)
-        return float(self.coords @ y)
-
-    @property
-    def dual_norm(self) -> float:
-        """lq norm of the coordinates, q dual to the source space's p."""
-        q = self.source_space.q
-        if q == 1.0:
-            return float(np.sum(np.abs(self.coords)))
-        return float(np.linalg.norm(self.coords, ord=q))
-
-
 def norming_coords(space: LpSpace, xs) -> np.ndarray:
     """Row-wise norming-functional coordinates for nonzero rows of xs.
 
@@ -132,12 +110,6 @@ def norming_coords(space: LpSpace, xs) -> np.ndarray:
         raise ValueError("norming functional of the zero vector is undefined")
     p = space.p
     return np.sign(xs) * np.abs(xs) ** (p - 1.0) / nrm[:, None] ** (p - 1.0)
-
-
-def norming_functional(space: LpSpace, x) -> DualVector:
-    """Unique norming functional of a nonzero vector, 1 < p < inf."""
-    x = _check_vector(space, x)
-    return DualVector(coords=norming_coords(space, x[None, :])[0], source_space=space)
 
 
 @dataclass(frozen=True)
@@ -186,9 +158,9 @@ def smoothness_upper_bound(x, y, u: float, space: LpSpace, majorant: SmoothnessM
     nx = norm(space, x)
     if nx == 0.0:
         raise ValueError("x must be nonzero")
-    f = norming_functional(space, x)
+    fy = float(norming_coords(space, x[None, :])[0] @ y)
     ny = norm(space, y)
-    return nx + u * f(y) + 2.0 * nx * majorant.value(abs(u) * ny / nx)
+    return nx + u * fy + 2.0 * nx * majorant.value(abs(u) * ny / nx)
 
 
 def solve_step_size(majorant: SmoothnessMajorant, mu: float) -> float:

@@ -122,21 +122,25 @@ def test_cover_verify_rejects_nan_center(tmp_path):
 _SPACE = {"d": 2, "p": 2}
 _COVER = {"space": _SPACE, "centers": [[0.5, 0.0]], "radius": 0.9, "closed": True, "provenance": "x"}
 _DICT = {"space": {"d": 2, "p": 4}, "vectors": [[1.0, 0.0]], "trials": None}
-# case -> (command, keys replacing those of a valid file, or None and the whole document)
+# case -> (command and input flag, keys replacing those of a valid file, or None
+# and the whole document); a witness reads only the centers of a covering file
 _MALFORMED = {
-    "cover-array": ("cover verify", None, [1, 2]),
-    "space-array": ("cover verify", {"space": [2, 2]}, None),
-    "d-null": ("cover verify", {"space": {**_SPACE, "d": None}}, None),
-    "d-true": ("cover verify", {"space": {**_SPACE, "d": True}, "centers": [[0.5]]}, None),
-    "d-inf": ("cover verify", {"space": {**_SPACE, "d": math.inf}}, None),
-    "p-null": ("cover verify", {"space": {**_SPACE, "p": None}}, None),
-    "p-string": ("cover verify", {"space": {**_SPACE, "p": "2"}}, None),
-    "radius-null": ("cover verify", {"radius": None}, None),
-    "radius-string": ("cover verify", {"radius": "0.9"}, None),
-    "centers-object": ("cover verify", {"centers": [{}]}, None),
-    "dict-array": ("dict coherence", None, []),
-    "dict-d-null": ("dict coherence", {"space": {"d": None, "p": 4}}, None),
-    "vectors-object": ("dict coherence", {"vectors": {}}, None),
+    "cover-array": ("cover verify --in", None, [1, 2]),
+    "space-array": ("cover verify --in", {"space": [2, 2]}, None),
+    "d-null": ("cover verify --in", {"space": {**_SPACE, "d": None}}, None),
+    "d-true": ("cover verify --in", {"space": {**_SPACE, "d": True}, "centers": [[0.5]]}, None),
+    "d-inf": ("cover verify --in", {"space": {**_SPACE, "d": math.inf}}, None),
+    "p-null": ("cover verify --in", {"space": {**_SPACE, "p": None}}, None),
+    "p-string": ("cover verify --in", {"space": {**_SPACE, "p": "2"}}, None),
+    "radius-null": ("cover verify --in", {"radius": None}, None),
+    "radius-string": ("cover verify --in", {"radius": "0.9"}, None),
+    "centers-object": ("cover verify --in", {"centers": [{}]}, None),
+    "provenance-null": ("cover verify --in", {"provenance": None}, None),
+    "dict-array": ("dict coherence --in", None, []),
+    "dict-d-null": ("dict coherence --in", {"space": {"d": None, "p": 4}}, None),
+    "vectors-object": ("dict coherence --in", {"vectors": {}}, None),
+    "witness-array": ("witness --d 2 --centers", None, [[0.5, 0.0]]),
+    "witness-centers-object": ("witness --d 2 --centers", {"centers": [{}]}, None),
 }
 
 
@@ -145,11 +149,11 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     # loader failures are usage errors, not tracebacks or loaded files
     command, changes, document = _MALFORMED[case]
     if changes is not None:
-        document = {**(_COVER if command == "cover verify" else _DICT), **changes}
+        document = {**(_DICT if command.startswith("dict") else _COVER), **changes}
     path = tmp_path / "in.json"
     path.write_text(json.dumps(document))
     out = tmp_path / "out.json"
-    assert main([*command.split(), "--in", str(path), "--out", str(out)]) == 1
+    assert main([*command.split(), str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -11,7 +11,7 @@ from ballcover.coverings import (
     simplex_cover_shrunk,
     simplex_cover_unit,
 )
-from ballcover.dictionaries import Dictionary, coherence_banach, coherence_euclidean
+from ballcover.dictionaries import Dictionary, coherence_banach
 from ballcover.frames import etf_from_hadamard
 from ballcover.hadamard import sylvester
 from ballcover.spaces import LpSpace, ball_from_rng, norm, norms, sample_sphere
@@ -303,7 +303,7 @@ def test_certify_maximality_augments_obvious_gap():
     passed, augmented = certify_maximality(d, 0.5, 100, seed=55)
     assert passed
     assert len(augmented) > 1
-    assert coherence_euclidean(augmented) <= 0.5
+    assert coherence_banach(augmented) <= 0.5
 
 
 def test_certify_maximality_hard_failure_carries_dictionary(monkeypatch):
@@ -365,7 +365,7 @@ def test_harden_dictionary_l2():
         d, 0.4, lambda dd: dictionary_cover_l2(dd, 0.4), seed=13
     )
     assert certified
-    assert coherence_euclidean(hardened) <= 0.4
+    assert coherence_banach(hardened) <= 0.4
     cov = dictionary_cover_l2(hardened, 0.4)
     _, margin = adversarial_search(cov, 50, 200, seed=14)
     assert margin >= -1e-9
