@@ -88,11 +88,22 @@ def norm(space: LpSpace, x) -> float:
 
 
 def norms(space: LpSpace, xs) -> np.ndarray:
-    """Row-wise lp norms of an (n, d) array."""
+    """Row-wise lp norms of an (n, d) array.
+
+    The ufunc calls of np.linalg.norm(xs, ord=p, axis=1), with the same
+    result bits, without its argument handling.
+    """
     xs = np.asarray(xs, dtype=float)
-    if math.isinf(space.p):
+    p = space.p
+    if math.isinf(p):
         return np.max(np.abs(xs), axis=1)
-    return np.linalg.norm(xs, ord=space.p, axis=1)
+    if p == 2.0:
+        return np.sqrt(np.add.reduce(xs * xs, axis=1))
+    out = np.abs(xs)
+    out **= p
+    out = np.add.reduce(out, axis=1)
+    out **= 1.0 / p
+    return out
 
 
 def norming_coords(space: LpSpace, xs) -> np.ndarray:

@@ -46,6 +46,74 @@ _MAXIMALITY_BATCH = 1024
 _HARDEN_MAX_ROUNDS = 500
 
 
+def _nearest_to(space: LpSpace, centers):
+    """The nearest-center query of nearest(), with the per-cover constants
+    (the transposed centers, |c|^2 for p = 2, a block buffer) built once."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    d = space.d
+    if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != d:
+        raise ValueError(f"need (m >= 1, {d}) centers, got {centers.shape}")
+    m, p = centers.shape[0], space.p
+    if math.isinf(p):
+        width = m  # cdist's distances
+    else:
+        coords = np.ascontiguousarray(centers.T)
+        if p == 2.0:
+            width = m + d  # scores, then the differences to the selected centers
+            sq = np.einsum("ij,ij->i", centers, centers)
+        else:
+            width = d * m  # one term per coordinate and center
+    block_rows = max(1, _BLOCK_ENTRIES // width)
+    if math.isfinite(p):
+        buf = np.empty(block_rows * (m if p == 2.0 else width))  # scores for p = 2, else the terms
+
+    def query(xs) -> tuple[np.ndarray, np.ndarray]:
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        if xs.ndim != 2 or xs.shape[1] != d:
+            raise ValueError(f"need rows of length {d}, got shape {xs.shape}")
+        n = xs.shape[0]
+        rows = max(1, min(n, block_rows))
+        index = np.empty(n, dtype=np.intp)
+        dist = np.empty(n)
+        for lo in range(0, n, rows):
+            x = xs[lo : lo + rows]
+            r = x.shape[0]
+            i = index[lo : lo + r]
+            if math.isinf(p):
+                block = cdist(x, centers, metric="chebyshev")
+                i[:] = block.argmin(axis=1)
+                dist[lo : lo + r] = block[np.arange(r), i]
+            elif p == 2.0:
+                score = np.matmul(x, coords, out=buf[: r * m].reshape(r, m))
+                score *= -2.0
+                score += sq
+                i[:] = score.argmin(axis=1)
+                # coordinates along axis 0, so that the sum runs in coordinate order as cdist's does
+                diff = coords.take(i, axis=1)
+                diff -= x.T
+                diff *= diff
+                dist[lo : lo + r] = np.sqrt(np.add.reduce(diff, axis=0))
+            else:
+                # a contiguous block, so that power runs numpy's contiguous loop at every size
+                terms = buf[: d * r * m].reshape(d, r, m)
+                np.subtract(x.T[:, :, None], coords[:, None, :], out=terms)
+                if p == 4.0:
+                    np.square(terms, out=terms)
+                    np.square(terms, out=terms)
+                else:
+                    np.abs(terms, out=terms)
+                    np.power(terms, p, out=terms)
+                if r * m > 1:
+                    sums = np.add.reduce(terms, axis=0)
+                else:  # numpy sums a lone column pairwise; accumulate keeps coordinate order
+                    sums = np.add.accumulate(terms, axis=0)[-1]
+                i[:] = sums.argmin(axis=1)
+                dist[lo : lo + r] = sums[np.arange(r), i] ** (1.0 / p)
+        return index, dist
+
+    return query
+
+
 def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
     """Index of and lp distance to the nearest center, for each row of xs.
 
@@ -53,64 +121,13 @@ def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
     temporaries together fit in the L2 cache. For p = 2 one GEMM score
     |c|^2 - 2 x.c selects the center, and the distance is then computed
     directly from x - c, so the cancellation in the score never reaches a
-    margin. For other finite p the power sums sum_k |x_k - c_k|^p are
-    accumulated one coordinate at a time and compared, and the root is
-    taken once per row. For p = inf the block goes through cdist's
-    Chebyshev distance.
+    margin. For other finite p a block holds every term |x_k - c_k|^p; the
+    power sums over k are added in coordinate order and compared, and the
+    root is taken once per row. For p = inf the block goes through cdist's
+    Chebyshev distance. The per-cover constants are built once per call;
+    the adversarial ascent builds them once per cover and reuses them.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    (n, d), m = xs.shape, centers.shape[0]
-    if m < 1 or centers.shape[1] != d:
-        raise ValueError(f"need (m >= 1, {d}) centers, got {centers.shape}")
-    p = space.p
-    if math.isinf(p):
-        width = m  # cdist's distances
-    elif p == 2.0:
-        width = m + d  # scores, then the differences to the selected centers
-        sq = np.einsum("ij,ij->i", centers, centers)
-    else:
-        width = 2 * m  # power sums and one term
-    rows = max(1, min(n, _BLOCK_ENTRIES // width))
-    if math.isfinite(p):
-        coords = np.ascontiguousarray(centers.T)
-        buf = np.empty((rows, m))  # scores for p = 2, else power sums
-        term = None if p == 2.0 else np.empty_like(buf)
-    index = np.empty(n, dtype=np.intp)
-    dist = np.empty(n)
-    for lo in range(0, n, rows):
-        x = xs[lo : lo + rows]
-        r = x.shape[0]
-        i = index[lo : lo + r]
-        if math.isinf(p):
-            block = cdist(x, centers, metric="chebyshev")
-            i[:] = block.argmin(axis=1)
-            dist[lo : lo + r] = block[np.arange(r), i]
-        elif p == 2.0:
-            score = np.matmul(x, coords, out=buf[:r])
-            score *= -2.0
-            score += sq
-            i[:] = score.argmin(axis=1)
-            # coordinates along axis 0, so that the sum runs in coordinate order as cdist's does
-            diff = coords.take(i, axis=1)
-            diff -= x.T
-            diff *= diff
-            dist[lo : lo + r] = np.sqrt(np.add.reduce(diff, axis=0))
-        else:
-            sums, t = buf[:r], term[:r]
-            sums.fill(0.0)
-            for k in range(d):
-                np.subtract(x[:, k, None], coords[k], out=t)
-                if p == 4.0:
-                    np.square(t, out=t)
-                    np.square(t, out=t)
-                else:
-                    np.abs(t, out=t)
-                    np.power(t, p, out=t)
-                sums += t
-            i[:] = sums.argmin(axis=1)
-            dist[lo : lo + r] = sums[np.arange(r), i] ** (1.0 / p)
-    return index, dist
+    return _nearest_to(space, centers)(xs)
 
 
 def min_distances(cov: BallCovering, xs) -> np.ndarray:
@@ -170,36 +187,49 @@ def certify_sampling(cov: BallCovering, n_ball: int, n_sphere: int, seed: int) -
 
 
 def _norm_gradient(space: LpSpace, z: np.ndarray) -> np.ndarray:
-    # rows: subgradient of the lp norm at z; zero rows get a zero subgradient
+    # rows: subgradient of the lp norm at z; rows of zero norm get a zero subgradient
     lengths = norms(space, z)
-    out = np.zeros_like(z)
     ok = lengths > 0.0
+    all_ok = bool(ok.all())
     if math.isinf(space.p):
+        out = np.zeros(z.shape)
         idx = np.argmax(np.abs(z), axis=1)
         rows = np.arange(z.shape[0])
         out[rows, idx] = np.sign(z[rows, idx])
+    else:
+        # sign(z) |z|^(p-1) / ||z||^(p-1), one rounding per operation as in the formula
+        e = space.p - 1.0
+        out = np.abs(z)
+        out **= e
+        out *= np.sign(z)
+        scale = lengths if all_ok else np.where(ok, lengths, 1.0)
+        out /= (scale**e)[:, None]
+    if not all_ok:
         out[~ok] = 0.0
-        return out
-    p = space.p
-    out[ok] = np.sign(z[ok]) * np.abs(z[ok]) ** (p - 1.0) / lengths[ok, None] ** (p - 1.0)
     return out
 
 
-def _ascend(cov: BallCovering, restarts: int, steps: int, seed: int):
+def _ascend(cov: BallCovering, restarts: int, steps: int, seeds):
     # projected subgradient ascent of min-center-distance over the unit
-    # sphere; returns the per-restart best points and distances
+    # sphere, from `restarts` rows per seed stacked in seed order; returns
+    # the per-row best points and distances. Every step is row-wise, so a
+    # seed's rows come out as from an ascent of their own; only the p = 2
+    # selection score is a BLAS product, whose rounding may depend on the
+    # rows beside it, and that can only change the pick within a tie.
     space = cov.space
-    x = sphere_from_rng(space, restarts, np.random.default_rng(seed))
+    query = _nearest_to(space, cov.centers)
+    x = np.vstack([sphere_from_rng(space, restarts, np.random.default_rng(s)) for s in seeds])
     best_pts = x.copy()
-    index, best_vals = nearest(space, x, cov.centers)
+    index, best_vals = query(x)
     for step in range(1, steps + 1):
         grad = _norm_gradient(space, x - cov.centers[index])
-        x = x + (0.1 / math.sqrt(step)) * grad
-        x = x / norms(space, x)[:, None]
-        index, vals = nearest(space, x, cov.centers)
+        grad *= 0.1 / math.sqrt(step)
+        x += grad
+        x /= norms(space, x)[:, None]
+        index, vals = query(x)
         improved = vals > best_vals
-        best_vals[improved] = vals[improved]
-        best_pts[improved] = x[improved]
+        np.copyto(best_vals, vals, where=improved)
+        np.copyto(best_pts, x, where=improved[:, None])
     return best_pts, best_vals
 
 
@@ -216,7 +246,7 @@ def adversarial_search(
     """
     if restarts < 1 or steps < 1:
         raise ValueError("restarts and steps must be positive")
-    pts, vals = _ascend(cov, restarts, steps, seed)
+    pts, vals = _ascend(cov, restarts, steps, [seed])
     i = int(np.argmax(vals))
     return pts[i].copy(), float(cov.radius - vals[i])
 
@@ -265,6 +295,9 @@ def uncovered_witness(space: LpSpace, centers) -> np.ndarray:
     (z_i = sign(w_i) |w_i|^(q-1), so ||z||_p = 1 and w(z) = 1), and picks the
     sign of z with |w(z - c_1)| >= 1. Every center c then satisfies
     ||z - c|| >= |w(z - c)| >= 1, as does the centers' whole affine hull.
+    The point is checked against every center before it is returned; when
+    rounding defeats the construction (centers many orders of magnitude
+    apart) the check refuses it with ValueError.
     """
     if not space.smooth:
         raise ValueError("requires 1 < p < inf")
@@ -277,7 +310,7 @@ def uncovered_witness(space: LpSpace, centers) -> np.ndarray:
     else:
         annihilator = null_space(dirs)
         if annihilator.shape[1] == 0:
-            raise RuntimeError("no annihilator direction found")
+            raise ValueError("no annihilator direction found")
     q = space.q
     w = annihilator[:, 0]
     w = w / np.linalg.norm(w, ord=q)
@@ -287,14 +320,14 @@ def uncovered_witness(space: LpSpace, centers) -> np.ndarray:
         if abs(float(w @ z) - offset) >= 1.0 - 1e-12:
             break
     else:
-        raise RuntimeError("neither sign of the witness separates from the affine hull")
+        raise ValueError("neither sign of the witness separates from the affine hull")
     if abs(norm(space, z) - 1.0) > 1e-12:
-        raise RuntimeError("witness lost unit norm")
+        raise ValueError("witness lost unit norm")
     closest = float(nearest(space, z, c)[1][0])
     if closest < 1.0 - 1e-9:
-        raise RuntimeError(f"witness construction failed: nearest center at distance {closest}")
+        raise ValueError(f"witness construction failed: nearest center at distance {closest}")
     if space.p == 2.0 and affine_hull_distance(z, c) < 1.0 - 1e-9:
-        raise RuntimeError("witness sits too close to the affine hull")
+        raise ValueError("witness sits too close to the affine hull")
     return z
 
 
@@ -339,9 +372,10 @@ def linf_vertex_check(
 
     ball_centers = rng.uniform(-2.0, 2.0, size=(n_centers, d))
     max_in_ball = 0
-    for center in ball_centers:
-        inside = np.max(np.abs(vertices - center[None, :]), axis=1) < 1.0
-        max_in_ball = max(max_in_ball, int(np.count_nonzero(inside)))
+    rows = max(1, _BLOCK_ENTRIES >> d)
+    for lo in range(0, n_centers, rows):
+        inside = cdist(ball_centers[lo : lo + rows], vertices, metric="chebyshev") < 1.0
+        max_in_ball = max(max_in_ball, int(np.count_nonzero(inside, axis=1).max()))
 
     # rows with entries +-1 and bit codes 0..2**d - 1 are the distinct sign
     # vectors, and two of them differ by exactly 2 somewhere; NaN if not shown
@@ -404,37 +438,51 @@ def harden_dictionary(
     """Augment a dictionary until adversarial search stops finding uncovered points.
 
     Sampling certification cannot see the tiny-measure caps that projected
-    ascent finds reliably, so this closes the gap: each round builds the
-    cover (build_cover: Dictionary -> BallCovering), runs the ascent from
-    fresh restarts, and admits every violating endpoint that keeps the
-    coherence bound (an uncovered sphere point always satisfies the
-    one-sided bound max_g |F_x(g)| < mu; in the Euclidean case it is
+    ascent finds reliably, so this closes the gap: round k builds the cover
+    (build_cover: Dictionary -> BallCovering), runs the ascent from fresh
+    restarts drawn with seed + k, and admits every violating endpoint that
+    keeps the coherence bound (an uncovered sphere point always satisfies
+    the one-sided bound max_g |F_x(g)| < mu; in the Euclidean case it is
     automatically two-sided admissible). Certified when clean_rounds
-    consecutive searches with distinct seeds find no violation; returns
-    (False, dictionary) if a violation is not admissible or 500 rounds pass
-    without that.
+    consecutive rounds find no violation; returns (False, dictionary) if a
+    violation is not admissible or 500 rounds pass without that.
+
+    A clean round leaves the cover as it is, so after one the rounds still
+    needed run as one ascent with their restarts stacked. Their results are
+    read in round order; at the first round with a violation the later
+    rounds are dropped and the next round starts on the augmented cover.
+    This gives the rounds and the dictionary of running every round alone.
     """
     core = _Admission(dictionary.space, mu, dictionary.vectors)
+    if restarts < 1 or steps < 1:
+        raise ValueError("restarts and steps must be positive")
     clean = 0
-    for round_index in range(_HARDEN_MAX_ROUNDS):
+    round_index = 0
+    while round_index < _HARDEN_MAX_ROUNDS:
         current = core.dictionary(dictionary.trials_used)
         cov = build_cover(current)
-        pts, vals = _ascend(cov, restarts, steps, seed + round_index)
-        violating = np.nonzero(vals > cov.radius + ADVERSARIAL_TOL)[0]
-        if violating.size == 0:
-            clean += 1
-            if clean >= clean_rounds:
-                return True, current
-            continue
-        clean = 0
-        order = violating[np.argsort(-vals[violating])]
-        for i in order:
-            x = pts[i] / norm(core.space, pts[i])
-            fx = core.functionals(x[None, :])
-            if float(core.one_sided(fx)[0]) > mu:
-                continue  # deepest endpoint already fixed this one's basin
-            if not core.admit(x, fx[0]):
-                return False, core.dictionary(dictionary.trials_used)
+        count = 1 if clean == 0 else min(clean_rounds - clean, _HARDEN_MAX_ROUNDS - round_index)
+        seeds = range(seed + round_index, seed + round_index + count)
+        all_pts, all_vals = _ascend(cov, restarts, steps, seeds)
+        for lo in range(0, count * restarts, restarts):
+            round_index += 1
+            pts, vals = all_pts[lo : lo + restarts], all_vals[lo : lo + restarts]
+            violating = np.nonzero(vals > cov.radius + ADVERSARIAL_TOL)[0]
+            if violating.size == 0:
+                clean += 1
+                if clean >= clean_rounds:
+                    return True, current
+                continue
+            clean = 0
+            order = violating[np.argsort(-vals[violating])]
+            for i in order:
+                x = pts[i] / norm(core.space, pts[i])
+                fx = core.functionals(x[None, :])
+                if float(core.one_sided(fx)[0]) > mu:
+                    continue  # deepest endpoint already fixed this one's basin
+                if not core.admit(x, fx[0]):
+                    return False, core.dictionary(dictionary.trials_used)
+            break  # the later stacked rounds ran on the cover before these admissions
     return False, core.dictionary(dictionary.trials_used)
 
 

@@ -288,6 +288,19 @@ def test_witness_cli(tmp_path):
     assert blob["min_distance"] >= 1.0 - 1e-9
 
 
+def test_witness_refusal_is_one_error_line(tmp_path, capsys):
+    # centers 17 orders of magnitude apart defeat the construction; its own
+    # check refuses the point, and main reports that as a usage error
+    centers_path = tmp_path / "centers.json"
+    centers_path.write_text(json.dumps({"centers": [[1e17, 1e17], [0.0, 0.5]]}))
+    out = tmp_path / "w.json"
+    assert main(["witness", "--d", "2", "--centers", str(centers_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: witness construction failed") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bounds_table_csv(tmp_path):
     csv_path = tmp_path / "t.csv"
     assert main(

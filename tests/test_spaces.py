@@ -8,6 +8,7 @@ from ballcover.spaces import (
     SmoothnessMajorant,
     norm,
     norming_coords,
+    norms,
     sample_ball,
     sample_sphere,
     smoothness_majorant_for,
@@ -34,6 +35,15 @@ def test_space_validation():
 def test_space_rejects_non_numbers(d, p):
     with pytest.raises(ValueError):
         LpSpace(d, p)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 3.5, 4.0, math.inf])
+def test_norms_bit_identical_to_linalg(p):
+    rng = np.random.default_rng(30)
+    xs = rng.standard_normal((60, 7)) * 10.0 ** rng.integers(-5, 5, size=(60, 1))
+    xs[[3, 41]] = 0.0
+    for rows in (xs, np.asfortranarray(xs)):
+        np.testing.assert_array_equal(norms(LpSpace(7, p), rows), np.linalg.norm(xs, ord=p, axis=1))
 
 
 def test_norm_pythagorean():

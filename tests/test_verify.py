@@ -7,6 +7,7 @@ from scipy.spatial.distance import cdist
 from ballcover.coverings import (
     BallCovering,
     axis_cover,
+    dictionary_cover_banach,
     dictionary_cover_l2,
     simplex_cover_shrunk,
     simplex_cover_unit,
@@ -14,9 +15,11 @@ from ballcover.coverings import (
 from ballcover.dictionaries import Dictionary, coherence_banach
 from ballcover.frames import etf_from_hadamard
 from ballcover.hadamard import sylvester
-from ballcover.spaces import LpSpace, ball_from_rng, norm, norms, sample_sphere
+from ballcover.spaces import LpSpace, ball_from_rng, norm, norms, sample_sphere, smoothness_majorant_for
 from ballcover.verify import (
     _BLOCK_ENTRIES,
+    ADVERSARIAL_TOL,
+    _ascend,
     adversarial_search,
     affine_hull_distance,
     certify_maximality,
@@ -60,6 +63,57 @@ def test_nearest_tie_breaks_to_lowest_index(p):
     index, dist = nearest(LpSpace(2, p), [[0.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]])
     assert index[0] == 0
     assert dist[0] == 1.0
+
+
+def _coordinate_loop_nearest(p, xs, centers):
+    # finite p != 2: power sums accumulated one coordinate at a time over
+    # (rows, centers) arrays, the order the kernel's blocks must reproduce
+    coords = np.ascontiguousarray(centers.T)
+    sums = np.zeros((xs.shape[0], centers.shape[0]))
+    term = np.empty_like(sums)
+    for k in range(xs.shape[1]):
+        np.subtract(xs[:, k, None], coords[k], out=term)
+        if p == 4.0:
+            np.square(term, out=term)
+            np.square(term, out=term)
+        else:
+            np.abs(term, out=term)
+            np.power(term, p, out=term)
+        sums += term
+    index = sums.argmin(axis=1)
+    return index, sums[np.arange(xs.shape[0]), index] ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 3.5, 4.0])
+def test_nearest_matches_coordinate_loop_bit_for_bit(p):
+    rng = np.random.default_rng(72)
+    d, m = 6, 40
+    centers = rng.standard_normal((m, d))
+    centers[17] = centers[5]  # a tie, which goes to the lower index
+    # three full blocks and a partial one
+    n = 3 * (_BLOCK_ENTRIES // (d * m)) + 5
+    xs = rng.standard_normal((n, d))
+    xs[:4] = centers[5] + 1e-3 * rng.standard_normal((4, d))
+    index, dist = nearest(LpSpace(d, p), xs, centers)
+    ref_index, ref_dist = _coordinate_loop_nearest(p, xs, centers)
+    np.testing.assert_array_equal(index, ref_index)
+    np.testing.assert_array_equal(dist, ref_dist)
+    np.testing.assert_array_equal(index[:4], 5)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 3.5, 4.0])
+def test_nearest_single_center_sums_in_coordinate_order(p):
+    # one row against one center leaves a lone column of terms, which numpy
+    # would sum pairwise rather than in coordinate order
+    rng = np.random.default_rng(73)
+    d = 12
+    centers = rng.standard_normal((1, d))
+    xs = centers + rng.standard_normal((16, d))
+    for rows in [xs[i : i + 1] for i in range(16)] + [xs]:
+        index, dist = nearest(LpSpace(d, p), rows, centers)
+        ref_index, ref_dist = _coordinate_loop_nearest(p, rows, centers)
+        np.testing.assert_array_equal(index, ref_index)
+        np.testing.assert_array_equal(dist, ref_dist)
 
 
 def test_nearest_euclidean_distance_free_of_cancellation():
@@ -254,6 +308,10 @@ def test_witness_errors():
         uncovered_witness(LpSpace(2, math.inf), [[0.0, 0.0], [0.1, 0.0]])
     with pytest.raises(ValueError):
         uncovered_witness(LpSpace(3, 2.0), [[0.0, 0.0, 0.0]])
+    # c_1 - c_0 loses the small center's coordinates, and the candidate
+    # fails the construction's own distance check
+    with pytest.raises(ValueError, match="witness construction failed"):
+        uncovered_witness(LpSpace(2, 2.0), [[1e17, 1e17], [0.0, 0.5]])
 
 
 def test_affine_hull_distance_point():
@@ -282,6 +340,24 @@ def test_linf_vertex_check_small_dims():
         assert report.min_sample_margin > 0.0
         assert report.max_vertices_per_ball <= 1
         assert report.vertex_pair_distance == 2.0
+
+
+def test_linf_vertex_check_matches_per_center_loop(monkeypatch):
+    import ballcover.verify as verify
+
+    # small blocks, so that the ball centers split over several of them
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 1 << 8)
+    n_samples, n_centers = 50, 40
+    for d in range(1, 13):
+        report = linf_vertex_check(d, n_samples=n_samples, n_centers=n_centers, seed=74 + d)
+        rng = np.random.default_rng(74 + d)
+        ball_from_rng(LpSpace(d, math.inf), n_samples, rng)  # the draws made before the centers
+        ball_centers = rng.uniform(-2.0, 2.0, size=(n_centers, d))
+        vertices = ((np.arange(1 << d)[:, None] >> np.arange(d)[None, :]) & 1) * 2.0 - 1.0
+        expected = max(
+            int(np.count_nonzero(np.max(np.abs(vertices - c[None, :]), axis=1) < 1.0)) for c in ball_centers
+        )
+        assert report.max_vertices_per_ball == expected
 
 
 def test_linf_vertex_check_guard():
@@ -390,3 +466,73 @@ def test_admission_rejects_bad_mu_before_drawing(monkeypatch, mu, p):
         certify_maximality(d, mu, 1000, seed=1)
     with pytest.raises(ValueError, match="mu"):
         harden_dictionary(d, mu, lambda dd: no_draws(), seed=2)
+
+
+
+def _serial_harden(dictionary, mu, build_cover, restarts, steps, seed, clean_rounds):
+    # harden_dictionary with one ascent per round; also returns the rounds'
+    # outcomes: "c" clean, "v" violated, "F" a refused admission
+    from ballcover.dictionaries import _Admission
+
+    core = _Admission(dictionary.space, mu, dictionary.vectors)
+    log = []
+    clean = 0
+    for round_index in range(500):
+        current = core.dictionary(dictionary.trials_used)
+        cov = build_cover(current)
+        pts, vals = _ascend(cov, restarts, steps, [seed + round_index])
+        violating = np.nonzero(vals > cov.radius + ADVERSARIAL_TOL)[0]
+        if violating.size == 0:
+            log.append("c")
+            clean += 1
+            if clean >= clean_rounds:
+                return True, current, "".join(log)
+            continue
+        log.append("v")
+        clean = 0
+        for i in violating[np.argsort(-vals[violating])]:
+            x = pts[i] / norm(core.space, pts[i])
+            fx = core.functionals(x[None, :])
+            if float(core.one_sided(fx)[0]) > mu:
+                continue
+            if not core.admit(x, fx[0]):
+                log.append("F")
+                return False, core.dictionary(dictionary.trials_used), "".join(log)
+    return False, core.dictionary(dictionary.trials_used), "".join(log)
+
+
+# (p, mu, greedy seed, vectors kept, clean rounds, a pattern the rounds must show)
+_HARDEN_CASES = [
+    (2.0, 0.4, 3, None, 3, "ccv"),  # a violation in the second of two stacked rounds
+    (2.0, 0.4, 11, None, 3, "cvv"),  # one in the first, then a round on the augmented cover
+    (2.0, 0.4, 3, None, 1, "vc"),
+    (4.0, 0.5, 0, 6, 3, "cv"),  # a violation in the first stacked round
+    (4.0, 0.5, 2, 4, 3, "vF"),
+]
+
+
+@pytest.mark.parametrize("p, mu, seed, keep, clean_rounds, pattern", _HARDEN_CASES)
+def test_harden_dictionary_matches_serial_rounds(p, mu, seed, keep, clean_rounds, pattern):
+    from ballcover.dictionaries import greedy_maximal_dictionary
+
+    space = LpSpace(8, p)
+    if p == 2.0:
+        build = lambda dd: dictionary_cover_l2(dd, mu)  # noqa: E731
+    else:
+        majorant = smoothness_majorant_for(space)
+        build = lambda dd: dictionary_cover_banach(dd, mu, majorant)  # noqa: E731
+    d = greedy_maximal_dictionary(space, mu, seed)
+    if keep is not None:
+        d = Dictionary(space=space, vectors=d.vectors[:keep])
+    ref_ok, ref_d, log = _serial_harden(d, mu, build, 20, 50, seed, clean_rounds)
+    assert pattern in log
+    ok, hardened = harden_dictionary(d, mu, build, restarts=20, steps=50, seed=seed, clean_rounds=clean_rounds)
+    assert ok == ref_ok
+    np.testing.assert_array_equal(hardened.vectors, ref_d.vectors)
+
+
+def test_harden_dictionary_rejects_empty_budgets():
+    d = Dictionary(space=LpSpace(2, 2.0), vectors=[[1.0, 0.0]])
+    for restarts, steps in ((0, 10), (10, 0)):
+        with pytest.raises(ValueError, match="positive"):
+            harden_dictionary(d, 0.5, lambda dd: dictionary_cover_l2(dd, 0.5), restarts=restarts, steps=steps)
