@@ -9,7 +9,6 @@ from .bounds import (
     BoundConstants,
     BoundTableRow,
     VolumetricBounds,
-    calibrate_c1,
     covering_bound_table,
     mu_from_delta,
     ndmu_upper,
@@ -19,11 +18,7 @@ from .bounds import (
 )
 from .coverings import (
     BallCovering,
-    CoverMargin,
-    STRICT_OPEN,
-    UNIFORM,
     axis_cover,
-    banach_simplex_search,
     basis_cover,
     dictionary_cover_banach,
     dictionary_cover_l2,
@@ -39,12 +34,11 @@ from .dictionaries import (
     greedy_maximal_dictionary,
     numeric_rank,
 )
-from .frames import TightFrame, etf_from_hadamard, frame_gram, verify_frame_identities
+from .frames import TightFrame, etf_from_hadamard, verify_frame_identities
 from .hadamard import (
     HadamardMatrix,
     MAX_ORDER,
     kronecker,
-    normalize_first_row,
     sylvester,
     verify_hadamard,
 )
@@ -54,10 +48,8 @@ from .spaces import (
     norm,
     norming_coords,
     norms,
-    sample_ball,
     sample_sphere,
     smoothness_majorant_for,
-    smoothness_upper_bound,
     solve_step_size,
     solve_step_size_bisect,
 )
@@ -68,11 +60,9 @@ from .verify import (
     affine_hull_distance,
     certify_maximality,
     certify_sampling,
-    check_point,
     harden_dictionary,
     linf_vertex_check,
     min_distances,
-    select_positive_entry,
     simplex_dichotomy_check,
     uncovered_witness,
 )

@@ -22,10 +22,7 @@ __all__ = [
     "mu_from_delta",
     "covering_bound_table",
     "table_to_csv",
-    "calibrate_c1",
 ]
-
-_LOG_OVERFLOW = 700.0
 
 CSV_COLUMNS = (
     "delta",
@@ -42,9 +39,8 @@ CSV_COLUMNS = (
 class BoundConstants:
     """Absolute constants of the bound statements.
 
-    Defaults are 1.0 and flagged "uncalibrated" in any output, any other
-    value "calibrated"; calibration reports a fitted c1 without ever
-    substituting it into guarantees.
+    Defaults are 1.0 and flagged "uncalibrated" in any output; any other
+    value supplied by the user is flagged "calibrated".
     """
 
     c1: float = 1.0
@@ -64,25 +60,19 @@ class BoundConstants:
         return "calibrated" if self.calibrated else "uncalibrated"
 
 
-def _linear(log_value: float) -> float:
-    if log_value > _LOG_OVERFLOW:
-        return math.inf
-    return math.exp(log_value)
-
-
 @dataclass(frozen=True)
 class VolumetricBounds:
-    lower: float
-    upper: float
+    """Natural logs of the volume-comparison bounds on N_eps(B)."""
+
     log_lower: float
     log_upper: float
 
 
 def volumetric_bounds(d: int, eps: float) -> VolumetricBounds:
-    """Volume-comparison bounds eps**-d <= N_eps(B) <= (1 + 2/eps)**d.
+    """Volume-comparison bounds eps**-d <= N_eps(B) <= (1 + 2/eps)**d, in logs.
 
-    Logs are computed directly; linear values overflow to inf beyond float
-    range (raw counts are only meaningful below ~1e15 anyway).
+    The logs are computed directly, so they stay finite where the counts
+    themselves exceed float range.
     """
     if d < 1 or int(d) != d:
         raise ValueError(f"d must be a positive integer, got {d}")
@@ -90,12 +80,7 @@ def volumetric_bounds(d: int, eps: float) -> VolumetricBounds:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     log_lower = -d * math.log(eps)
     log_upper = d * math.log1p(2.0 / eps)
-    return VolumetricBounds(
-        lower=_linear(log_lower),
-        upper=_linear(log_upper),
-        log_lower=log_lower,
-        log_upper=log_upper,
-    )
+    return VolumetricBounds(log_lower=log_lower, log_upper=log_upper)
 
 
 def ndmu_upper(d: int, mu: float, constants: BoundConstants = BoundConstants()) -> float:
@@ -218,18 +203,3 @@ def table_to_csv(rows, path) -> None:
                 ]
             )
 
-
-def calibrate_c1(observations) -> float:
-    """Smallest c1 with ln N <= c1 d mu^2 ln(2/mu) across (d, mu, N) observations.
-
-    Fitted from greedy dictionary sizes for reporting only; never substituted
-    into a guarantee.
-    """
-    values = []
-    for d, mu, size in observations:
-        if not 0.0 < mu < 2.0:
-            raise ValueError(f"mu must lie in (0, 2) for the log factor, got {mu}")
-        values.append(math.log(size) / (d * mu * mu * math.log(2.0 / mu)))
-    if not values:
-        raise ValueError("need at least one observation")
-    return max(values)

@@ -1,6 +1,5 @@
 """Explicit coverings of the unit ball: simplex layouts, frame and dictionary
-covers, axis/basis covers, covering composition, and a certified step-size
-search for smooth spaces."""
+covers, axis/basis covers, and covering composition."""
 
 from __future__ import annotations
 
@@ -21,9 +20,6 @@ from .spaces import (
 )
 
 __all__ = [
-    "STRICT_OPEN",
-    "UNIFORM",
-    "CoverMargin",
     "BallCovering",
     "simplex_cover_unit",
     "simplex_cover_shrunk",
@@ -33,34 +29,10 @@ __all__ = [
     "axis_cover",
     "basis_cover",
     "iterate_cover",
-    "banach_simplex_search",
 ]
-
-STRICT_OPEN = "strict_open"
-UNIFORM = "uniform"
 
 MAX_ITERATED_CENTERS = 10_000_000
 REACH_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CoverMargin:
-    """Proof-level slack of a covering.
-
-    kind "uniform": every unit-ball point is within squared distance
-    1 - value of some center. kind "strict_open": coverage is strict but has
-    no uniform slack; value records the slack of the non-strict branch of
-    the dichotomy (1/(4d) for the unit-radius simplex layout).
-    """
-
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in (STRICT_OPEN, UNIFORM):
-            raise ValueError(f"unknown margin kind {self.kind!r}")
-        if not (self.value >= 0.0):
-            raise ValueError("margin value must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -105,27 +77,29 @@ def _simplex_centers(d: int, a: float) -> np.ndarray:
     return np.vstack([a * np.identity(d), np.full((1, d), -a)])
 
 
-def simplex_cover_unit(d: int) -> tuple[BallCovering, CoverMargin]:
+def simplex_cover_unit(d: int) -> tuple[BallCovering, float]:
     """d+1 open unit balls covering B_2: centers e_j/(2d) and -(1/(2d)) sum_j e_j.
 
     Strict-open cover with a dichotomy: any y in B_2 either has a coordinate
     y_k > 1/(4d), which puts it strictly inside ball k, or lies within
-    squared distance 1 - 1/(4d) of the last center.
+    squared distance 1 - 1/(4d) of the last center. Returns (cover, 1/(4d)),
+    the slack of that second branch; the cover itself has no uniform slack.
     """
     space = LpSpace(d, 2.0)
     a = 1.0 / (2.0 * d)
     cov = BallCovering(
         space, _simplex_centers(d, a), 1.0, closed=False, provenance=f"simplex-unit(d={d})"
     ).check_reach()
-    return cov, CoverMargin(STRICT_OPEN, 1.0 / (4.0 * d))
+    return cov, 1.0 / (4.0 * d)
 
 
-def simplex_cover_shrunk(d: int) -> tuple[BallCovering, CoverMargin]:
+def simplex_cover_shrunk(d: int) -> tuple[BallCovering, float]:
     """Simplex layout with a = 2/(5d+1) and closed radius sqrt(1 - a^2).
 
     Every point of B_2 sits within squared distance 1 - a^2 of some center:
     a coordinate above a beats that bound at the matching axis center, and
-    the remaining points land within it at the last center.
+    the remaining points land within it at the last center. Returns
+    (cover, a^2).
     """
     space = LpSpace(d, 2.0)
     a = 2.0 / (5.0 * d + 1.0)
@@ -136,16 +110,17 @@ def simplex_cover_shrunk(d: int) -> tuple[BallCovering, CoverMargin]:
         closed=True,
         provenance=f"simplex-shrunk(d={d})",
     ).check_reach()
-    return cov, CoverMargin(UNIFORM, a * a)
+    return cov, a * a
 
 
-def etf_cover(d: int) -> tuple[BallCovering, CoverMargin]:
+def etf_cover(d: int) -> tuple[BallCovering, float]:
     """d+1 closed balls at (1/(8d)) phi_j for an equiangular tight frame phi.
 
     Needs d+1 to be an available Hadamard order (a power of two here). For
     ||x|| >= 1/2 some frame coefficient reaches 1/(4d), capping the squared
     distance at 1 - 1/(64 d^2); points with ||x|| < 1/2 sit within 1/2 + a of
     every center, and the radius is checked to dominate that branch too.
+    Returns (cover, 1/(64 d^2)).
     """
     k = (d + 1).bit_length() - 1
     if d < 1 or (1 << k) != d + 1:
@@ -159,7 +134,7 @@ def etf_cover(d: int) -> tuple[BallCovering, CoverMargin]:
     cov = BallCovering(
         LpSpace(d, 2.0), a * frame.matrix.T, radius, closed=True, provenance=f"etf(d={d}, a={a!r})"
     ).check_reach()
-    return cov, CoverMargin(UNIFORM, margin)
+    return cov, margin
 
 
 def dictionary_cover_l2(dictionary: Dictionary, mu: float) -> BallCovering:
@@ -215,12 +190,13 @@ def dictionary_cover_banach(
     )
 
 
-def axis_cover(d: int) -> tuple[BallCovering, CoverMargin]:
+def axis_cover(d: int) -> tuple[BallCovering, float]:
     """2d closed balls at +-e_j/(4 sqrt(d)) in l2.
 
     For ||x|| >= 1/2 some coordinate magnitude reaches 1/(2 sqrt(d)) and the
     squared distance to the matching signed center drops by 3/(16d); smaller
     points sit within 1/2 + a of any center. Radius: max of the two branches.
+    Returns (cover, 3/(16d)).
     """
     space = LpSpace(d, 2.0)
     a = 0.25 / math.sqrt(d)
@@ -230,7 +206,7 @@ def axis_cover(d: int) -> tuple[BallCovering, CoverMargin]:
     cov = BallCovering(
         space, centers, radius, closed=True, provenance=f"axis(d={d}, a={a!r})"
     ).check_reach()
-    return cov, CoverMargin(UNIFORM, margin)
+    return cov, margin
 
 
 def basis_cover(space: LpSpace, k_const: float = 1.0) -> BallCovering:
@@ -279,46 +255,3 @@ def iterate_cover(cov: BallCovering, m: int) -> BallCovering:
         cov.space, acc, cov.radius ** m, cov.closed, f"iterate({cov.provenance}, m={m})"
     )
 
-
-def banach_simplex_search(
-    space: LpSpace,
-    majorant: SmoothnessMajorant,
-    certify_samples: int = 20000,
-    seed: int = 0,
-) -> tuple[float | None, BallCovering | None]:
-    """Largest grid step a = 2**-t whose d+1 open unit balls pass sampled coverage.
-
-    The simplex layout a e_j, -a sum_j e_j covers the unit ball for small
-    enough a in any uniformly smooth space; the majorant witnesses that
-    smoothness and is recorded in the provenance, while the numeric step is
-    found by certified search over {1/2, 1/4, ..., 2**-20}, largest first.
-    Returns (None, None) when no grid value passes at this sampling budget.
-    """
-    from .verify import certify_sampling  # deferred: verify depends on this module
-
-    if not space.smooth:
-        raise ValueError("requires 1 < p < inf")
-    if certify_samples < 2:
-        raise ValueError("need at least two certification samples")
-    n_sphere = certify_samples // 2
-    n_ball = certify_samples - n_sphere
-    for t in range(1, 21):
-        a = 2.0 ** -t
-        cov = BallCovering(
-            space,
-            _simplex_centers(space.d, a),
-            1.0,
-            closed=False,
-            provenance=(
-                f"simplex-search(d={space.d}, p={space.p!r}, a={a!r}, "
-                f"omega=({majorant.gamma!r},{majorant.q_exp!r}))"
-            ),
-        )
-        try:
-            cov.check_reach()
-        except ValueError:
-            continue  # last center cannot even touch the ball; a is far too large
-        report = certify_sampling(cov, n_ball, n_sphere, seed)
-        if report.passed:
-            return a, cov
-    return None, None

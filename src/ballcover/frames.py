@@ -12,7 +12,7 @@ from .dictionaries import Dictionary
 from .hadamard import HadamardMatrix
 from .spaces import LpSpace
 
-__all__ = ["TightFrame", "etf_from_hadamard", "frame_gram", "verify_frame_identities"]
+__all__ = ["TightFrame", "etf_from_hadamard", "verify_frame_identities"]
 
 GRAM_TOL = 1e-12
 
@@ -22,8 +22,8 @@ class TightFrame:
     """d+1 unit vectors in R^d with pairwise inner products -1/d and zero sum.
 
     Stored column-major: matrix[:, j] is the j-th frame vector. The frame
-    identities are certified by validate() and verify_frame_identities rather
-    than assumed, so tests can build deliberately broken instances.
+    identities are certified by gram_deviation() and verify_frame_identities
+    rather than assumed, so tests can build deliberately broken instances.
     """
 
     dim: int
@@ -34,13 +34,6 @@ class TightFrame:
         object.__setattr__(self, "matrix", m)
         if m.shape != (self.dim, self.dim + 1):
             raise ValueError(f"expected shape {(self.dim, self.dim + 1)}, got {m.shape}")
-
-    @property
-    def count(self) -> int:
-        return self.dim + 1
-
-    def column(self, j: int) -> np.ndarray:
-        return self.matrix[:, j]
 
     def as_dictionary(self) -> Dictionary:
         return Dictionary(space=LpSpace(self.dim, 2.0), vectors=self.matrix.T.copy())
@@ -53,18 +46,7 @@ class TightFrame:
         """
         n = self.dim
         target = (1.0 + 1.0 / n) * np.identity(n + 1) - np.full((n + 1, n + 1), 1.0 / n)
-        return float(np.max(np.abs(frame_gram(self) - target)))
-
-    def validate(self) -> None:
-        """Raise unless the Gram matrix equals (1 + 1/d) I - (1/d) J within GRAM_TOL."""
-        dev = self.gram_deviation()
-        if not (dev <= GRAM_TOL):
-            raise ValueError(f"Gram matrix deviates from the equiangular target by {dev:.3e}")
-
-
-def frame_gram(frame: TightFrame) -> np.ndarray:
-    """Gram matrix of the frame vectors."""
-    return frame.matrix.T @ frame.matrix
+        return float(np.max(np.abs(self.matrix.T @ self.matrix - target)))
 
 
 def etf_from_hadamard(h: HadamardMatrix) -> TightFrame:
@@ -77,7 +59,7 @@ def etf_from_hadamard(h: HadamardMatrix) -> TightFrame:
     if h.order < 2:
         raise ValueError("need order >= 2")
     if not np.all(h.entries[0] == 1):
-        raise ValueError("first row must be all ones; apply normalize_first_row first")
+        raise ValueError("first row must be all ones")
     n = h.order - 1
     return TightFrame(dim=n, matrix=h.entries[1:, :] / math.sqrt(n))
 

@@ -16,7 +16,6 @@ __all__ = [
     "MAX_ORDER",
     "sylvester",
     "kronecker",
-    "normalize_first_row",
     "verify_hadamard",
 ]
 
@@ -85,7 +84,3 @@ def kronecker(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
         raise ValueError(f"resulting order {a.order * b.order} exceeds the guard {MAX_ORDER}")
     return HadamardMatrix(np.kron(a.entries, b.entries))
 
-
-def normalize_first_row(h: HadamardMatrix) -> HadamardMatrix:
-    """Negate the columns whose first entry is -1, making the first row all ones."""
-    return HadamardMatrix(h.entries * h.entries[0][None, :])

@@ -19,11 +19,9 @@ __all__ = [
     "norms",
     "norming_coords",
     "smoothness_majorant_for",
-    "smoothness_upper_bound",
     "solve_step_size",
     "solve_step_size_bisect",
     "sample_sphere",
-    "sample_ball",
     "sphere_from_rng",
     "ball_from_rng",
 ]
@@ -72,16 +70,11 @@ class LpSpace:
         return math.isfinite(self.p)
 
 
-def _check_vector(space: LpSpace, x) -> np.ndarray:
+def norm(space: LpSpace, x) -> float:
+    """lp norm of a single vector."""
     x = np.asarray(x, dtype=float)
     if x.shape != (space.d,):
         raise ValueError(f"expected a vector of length {space.d}, got shape {x.shape}")
-    return x
-
-
-def norm(space: LpSpace, x) -> float:
-    """lp norm of a single vector."""
-    x = _check_vector(space, x)
     if math.isinf(space.p):
         return float(np.max(np.abs(x)))
     return float(np.linalg.norm(x, ord=space.p))
@@ -158,22 +151,6 @@ def smoothness_majorant_for(space: LpSpace) -> SmoothnessMajorant:
     return SmoothnessMajorant(gamma=p / 2.0, q_exp=2.0)
 
 
-def smoothness_upper_bound(x, y, u: float, space: LpSpace, majorant: SmoothnessMajorant) -> float:
-    """Upper end of the smoothness sandwich for ||x + u y||.
-
-    Returns ||x|| + u F_x(y) + 2 ||x|| omega(|u| ||y|| / ||x||). The norm
-    ||x + u y|| lies between ||x|| + u F_x(y) and this value.
-    """
-    x = _check_vector(space, x)
-    y = _check_vector(space, y)
-    nx = norm(space, x)
-    if nx == 0.0:
-        raise ValueError("x must be nonzero")
-    fy = float(norming_coords(space, x[None, :])[0] @ y)
-    ny = norm(space, y)
-    return nx + u * fy + 2.0 * nx * majorant.value(abs(u) * ny / nx)
-
-
 def solve_step_size(majorant: SmoothnessMajorant, mu: float) -> float:
     """Positive root of a*mu = 4*omega(2a), capped at 1.
 
@@ -244,9 +221,3 @@ def sample_sphere(space: LpSpace, n: int, seed: int) -> np.ndarray:
         raise ValueError("need at least one sample")
     return sphere_from_rng(space, n, np.random.default_rng(seed))
 
-
-def sample_ball(space: LpSpace, n: int, seed: int) -> np.ndarray:
-    """Deterministic (n, d) sample uniform in the closed unit ball."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    return ball_from_rng(space, n, np.random.default_rng(seed))

@@ -1,6 +1,6 @@
-"""Coverage certification by seeded sampling and adversarial ascent, the
-zero-sum coordinate selector, uncovered-point witnesses, the cube-vertex
-count argument for l_inf, and empirical dictionary-maximality certification.
+"""Coverage certification by seeded sampling and adversarial ascent,
+uncovered-point witnesses, the cube-vertex count argument for l_inf, and
+empirical dictionary-maximality certification.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ __all__ = [
     "ADVERSARIAL_TOL",
     "CoverageReport",
     "VertexCoverReport",
-    "check_point",
     "nearest",
     "min_distances",
     "certify_sampling",
     "adversarial_search",
-    "select_positive_entry",
     "uncovered_witness",
     "affine_hull_distance",
     "linf_vertex_check",
@@ -44,6 +42,14 @@ _BLOCK_ENTRIES = 1 << 18
 _MAXIMALITY_BATCH = 1024
 # rounds after which harden_dictionary gives up
 _HARDEN_MAX_ROUNDS = 500
+
+
+def _coordinate_sum(terms: np.ndarray) -> np.ndarray:
+    # sum over axis 0 in coordinate order, as cdist does; numpy would sum a
+    # lone column pairwise, and accumulate keeps the order there too
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _nearest_to(space: LpSpace, centers):
@@ -88,11 +94,11 @@ def _nearest_to(space: LpSpace, centers):
                 score *= -2.0
                 score += sq
                 i[:] = score.argmin(axis=1)
-                # coordinates along axis 0, so that the sum runs in coordinate order as cdist's does
+                # coordinates along axis 0, the axis _coordinate_sum adds along
                 diff = coords.take(i, axis=1)
                 diff -= x.T
                 diff *= diff
-                dist[lo : lo + r] = np.sqrt(np.add.reduce(diff, axis=0))
+                dist[lo : lo + r] = np.sqrt(_coordinate_sum(diff))
             else:
                 # a contiguous block, so that power runs numpy's contiguous loop at every size
                 terms = buf[: d * r * m].reshape(d, r, m)
@@ -103,10 +109,7 @@ def _nearest_to(space: LpSpace, centers):
                 else:
                     np.abs(terms, out=terms)
                     np.power(terms, p, out=terms)
-                if r * m > 1:
-                    sums = np.add.reduce(terms, axis=0)
-                else:  # numpy sums a lone column pairwise; accumulate keeps coordinate order
-                    sums = np.add.accumulate(terms, axis=0)[-1]
+                sums = _coordinate_sum(terms)
                 i[:] = sums.argmin(axis=1)
                 dist[lo : lo + r] = sums[np.arange(r), i] ** (1.0 / p)
         return index, dist
@@ -134,14 +137,6 @@ def min_distances(cov: BallCovering, xs) -> np.ndarray:
     """Distance from each row of xs to its nearest center of cov, as nearest()
     computes it: never from the p = 2 selection score, always from x - c."""
     return nearest(cov.space, xs, cov.centers)[1]
-
-
-def check_point(cov: BallCovering, x) -> float:
-    """Signed margin radius - min_j ||x - c_j||; positive means strictly inside."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (cov.space.d,):
-        raise ValueError(f"expected a vector of length {cov.space.d}, got shape {x.shape}")
-    return float(cov.radius - min_distances(cov, x[None, :])[0])
 
 
 @dataclass
@@ -249,27 +244,6 @@ def adversarial_search(
     pts, vals = _ascend(cov, restarts, steps, [seed])
     i = int(np.argmax(vals))
     return pts[i].copy(), float(cov.radius - vals[i])
-
-
-def select_positive_entry(y) -> int:
-    """Smallest index k with y_k >= ||y||_2 / (2(N-1)) in a zero-sum vector.
-
-    Such an entry always exists when the entries sum to zero: otherwise the
-    positive part would total less than ||y||_2 / 2 and the l1 norm would
-    fall below the l2 norm.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("need a vector with at least two entries")
-    length = float(np.linalg.norm(y))
-    if length == 0.0:
-        raise ValueError("zero vector")
-    if abs(float(np.sum(y))) > 1e-10 * length:
-        raise ValueError("entries must sum to zero")
-    hits = np.nonzero(y >= length / (2.0 * (y.size - 1)))[0]
-    if hits.size == 0:
-        raise RuntimeError("no qualifying entry; the zero-sum precondition must have failed")
-    return int(hits[0])
 
 
 def affine_hull_distance(point, centers) -> float:

@@ -25,11 +25,11 @@ from ballcover.coverings import (
     simplex_cover_unit,
 )
 from ballcover.dictionaries import greedy_maximal_dictionary
-from ballcover.frames import etf_from_hadamard, frame_gram, verify_frame_identities
+from ballcover.frames import etf_from_hadamard, verify_frame_identities
 from ballcover.hadamard import kronecker, sylvester, verify_hadamard
 from ballcover.spaces import (
     LpSpace,
-    sample_ball,
+    ball_from_rng,
     sample_sphere,
     smoothness_majorant_for,
     solve_step_size,
@@ -40,7 +40,6 @@ from ballcover.verify import (
     certify_sampling,
     harden_dictionary,
     linf_vertex_check,
-    select_positive_entry,
     simplex_dichotomy_check,
     uncovered_witness,
     affine_hull_distance,
@@ -55,7 +54,8 @@ def _line(name):
 
 def _ball_sphere(d, n, seed, p=2.0):
     space = LpSpace(d, p)
-    return np.vstack([sample_ball(space, n, seed), sample_sphere(space, n, seed + 1)])
+    ball = ball_from_rng(space, n, np.random.default_rng(seed))
+    return np.vstack([ball, sample_sphere(space, n, seed + 1)])
 
 
 def _min_sq_dists(centers, points):
@@ -82,7 +82,7 @@ def test_etf_gram_and_identities():
     for k in range(1, 8):  # orders 2, 4, ..., 128
         frame = etf_from_hadamard(sylvester(k))
         n = frame.dim
-        gram = frame_gram(frame)
+        gram = frame.matrix.T @ frame.matrix
         off = gram - np.diag(np.diag(gram))
         mask = ~np.eye(n + 1, dtype=bool)
         assert np.max(np.abs(off[mask] + 1.0 / n)) <= 1e-12
@@ -121,9 +121,9 @@ def test_shrunk_simplex_margin():
 def test_etf_cover_margin():
     for d in (1, 3, 7, 15, 31):
         cov, margin = etf_cover(d)
-        assert margin.value == pytest.approx(1.0 / (64.0 * d * d), rel=1e-15)
+        assert margin == pytest.approx(1.0 / (64.0 * d * d), rel=1e-15)
         pts = _ball_sphere(d, 10000, SEED + 300 + d)
-        assert np.all(_min_sq_dists(cov.centers, pts) <= 1.0 - margin.value + 1e-12)
+        assert np.all(_min_sq_dists(cov.centers, pts) <= 1.0 - 1.0 / (64.0 * d * d) + 1e-12)
     _line("frame cover margin 1 - 1/(64 d^2), d in {1,3,7,15,31}")
 
 
@@ -217,6 +217,60 @@ def test_axis_basis_iterate_covers():
     report = certify_sampling(iterated, 5000, 5000, SEED + 600)
     assert report.passed
     _line("axis covers d in {1,4,16,64}, l4 basis cover, iterated axis cover (16 balls)")
+
+
+def select_positive_entry(y) -> int:
+    """Smallest index k with y_k >= ||y||_2 / (2(N-1)) in a zero-sum vector.
+
+    Such an entry always exists when the entries sum to zero: otherwise the
+    positive part would total less than ||y||_2 / 2 and the l1 norm would
+    fall below the l2 norm.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or y.size < 2:
+        raise ValueError("need a vector with at least two entries")
+    length = float(np.linalg.norm(y))
+    if length == 0.0:
+        raise ValueError("zero vector")
+    if abs(float(np.sum(y))) > 1e-10 * length:
+        raise ValueError("entries must sum to zero")
+    hits = np.nonzero(y >= length / (2.0 * (y.size - 1)))[0]
+    if hits.size == 0:
+        raise RuntimeError("no qualifying entry; the zero-sum precondition must have failed")
+    return int(hits[0])
+
+
+def test_select_positive_entry_hand_cases():
+    assert select_positive_entry([1.0, -1.0, 0.0]) == 0
+    assert select_positive_entry([0.5, -0.5]) == 0
+    assert select_positive_entry([-0.5, 0.5]) == 1
+
+
+def test_select_positive_entry_threshold():
+    y = np.array([1.0, -1.0, 0.0])
+    k = select_positive_entry(y)
+    assert y[k] >= np.linalg.norm(y) / (2 * (y.size - 1))
+
+
+def test_select_positive_entry_errors():
+    with pytest.raises(ValueError):
+        select_positive_entry([0.0, 0.0])
+    with pytest.raises(ValueError):
+        select_positive_entry([1.0, 1.0])
+    with pytest.raises(ValueError):
+        select_positive_entry([1.0])
+
+
+def test_select_positive_entry_random_property():
+    rng = np.random.default_rng(47)
+    for n in range(2, 51):
+        y = rng.standard_normal((200, n))
+        y -= y.mean(axis=1, keepdims=True)
+        for row in y:
+            if np.linalg.norm(row) == 0.0:
+                continue
+            k = select_positive_entry(row)
+            assert row[k] >= np.linalg.norm(row) / (2 * (n - 1))
 
 
 def test_zero_sum_selector():

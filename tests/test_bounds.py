@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from ballcover.bounds import (
     CSV_COLUMNS,
     BoundConstants,
-    calibrate_c1,
     covering_bound_table,
     mu_from_delta,
     ndmu_upper,
@@ -20,21 +20,22 @@ from ballcover.spaces import LpSpace, smoothness_majorant_for, solve_step_size
 
 def test_volumetric_hand_values():
     vb = volumetric_bounds(1, 1.0)
-    assert vb.lower == pytest.approx(1.0, rel=1e-12)
-    assert vb.upper == pytest.approx(3.0, rel=1e-12)
+    assert math.exp(vb.log_lower) == pytest.approx(1.0, rel=1e-12)
+    assert math.exp(vb.log_upper) == pytest.approx(3.0, rel=1e-12)
     vb = volumetric_bounds(2, 0.5)
-    assert vb.lower == pytest.approx(4.0, rel=1e-12)
-    assert vb.upper == pytest.approx(25.0, rel=1e-12)
+    assert math.exp(vb.log_lower) == pytest.approx(4.0, rel=1e-12)
+    assert math.exp(vb.log_upper) == pytest.approx(25.0, rel=1e-12)
 
 
 def test_volumetric_eps_one_lower():
     for d in (1, 5, 50):
-        assert volumetric_bounds(d, 1.0).lower == 1.0
+        assert volumetric_bounds(d, 1.0).log_lower == 0.0
 
 
 def test_volumetric_overflow_to_inf():
+    # the count (1 + 2/eps)**d is far beyond float range; its log is not
     vb = volumetric_bounds(5000, 0.01)
-    assert math.isinf(vb.upper)
+    assert vb.log_upper > math.log(sys.float_info.max)
     assert vb.log_upper == pytest.approx(5000 * math.log1p(200.0), rel=1e-15)
 
 
@@ -170,12 +171,3 @@ def test_csv_export(tmp_path):
     assert len(body) == 5
     assert float(body[0][0]) == pytest.approx(rows[0].delta)
     assert body[0][6] in ("polynomial", "exponential")
-
-
-def test_calibrate_c1():
-    obs = [(8, 0.4, 12), (16, 0.3, 30)]
-    c1 = calibrate_c1(obs)
-    for d, mu, n in obs:
-        assert math.log(n) <= c1 * d * mu * mu * math.log(2.0 / mu) + 1e-12
-    with pytest.raises(ValueError):
-        calibrate_c1([])

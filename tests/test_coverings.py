@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from ballcover.coverings import (
-    STRICT_OPEN,
-    UNIFORM,
     BallCovering,
-    CoverMargin,
     axis_cover,
-    banach_simplex_search,
     basis_cover,
     dictionary_cover_banach,
     dictionary_cover_l2,
@@ -24,7 +20,7 @@ from ballcover.hadamard import sylvester
 from ballcover.spaces import (
     LpSpace,
     SmoothnessMajorant,
-    sample_ball,
+    ball_from_rng,
     sample_sphere,
     smoothness_majorant_for,
 )
@@ -32,7 +28,8 @@ from ballcover.spaces import (
 
 def _samples(d, n, seed, p=2.0):
     space = LpSpace(d, p)
-    return np.vstack([sample_ball(space, n, seed), sample_sphere(space, n, seed + 1)])
+    ball = ball_from_rng(space, n, np.random.default_rng(seed))
+    return np.vstack([ball, sample_sphere(space, n, seed + 1)])
 
 
 def _min_sq_dists(cov, points):
@@ -47,8 +44,7 @@ def test_simplex_unit_centers_d2():
     np.testing.assert_allclose(cov.centers, [[0.25, 0.0], [0.0, 0.25], [-0.25, -0.25]])
     assert cov.radius == 1.0
     assert not cov.closed
-    assert margin.kind == STRICT_OPEN
-    assert margin.value == pytest.approx(1.0 / 8.0)
+    assert margin == pytest.approx(1.0 / 8.0)
 
 
 def test_simplex_unit_interval_d1():
@@ -76,19 +72,19 @@ def test_simplex_shrunk_parameters_d2():
     a = 2.0 / 11.0
     assert cov.closed
     assert cov.radius == pytest.approx(math.sqrt(1.0 - a * a), rel=1e-15)
-    assert margin.kind == UNIFORM
-    assert margin.value == pytest.approx(a * a, rel=1e-15)
+    assert margin == pytest.approx(a * a, rel=1e-15)
 
 
 def test_simplex_shrunk_sampling_margin_d4():
     # sampling oracle: squared distance to the nearest center <= 1 - a^2 + 1e-12
-    cov, margin = simplex_cover_shrunk(4)
+    cov, _ = simplex_cover_shrunk(4)
+    a = 2.0 / 21.0
     pts = _samples(4, 10000, seed=20)
-    assert np.all(_min_sq_dists(cov, pts) <= 1.0 - margin.value + 1e-12)
+    assert np.all(_min_sq_dists(cov, pts) <= 1.0 - a * a + 1e-12)
 
 
 def test_simplex_shrunk_margin_monotone():
-    values = [simplex_cover_shrunk(d)[1].value for d in range(1, 65)]
+    values = [simplex_cover_shrunk(d)[1] for d in range(1, 65)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -97,7 +93,7 @@ def test_etf_cover_d3():
     frame = etf_from_hadamard(sylvester(2))
     np.testing.assert_allclose(cov.centers, frame.matrix.T / 24.0)
     assert cov.radius == pytest.approx(math.sqrt(1.0 - 1.0 / 576.0), rel=1e-15)
-    assert margin.value == pytest.approx(1.0 / 576.0, rel=1e-15)
+    assert margin == pytest.approx(1.0 / 576.0, rel=1e-15)
 
 
 def test_etf_cover_d1_interval():
@@ -115,9 +111,9 @@ def test_etf_cover_radius_dominates_small_norm():
 
 
 def test_etf_cover_sampling_d7():
-    cov, margin = etf_cover(7)
+    cov, _ = etf_cover(7)
     pts = _samples(7, 10000, seed=21)
-    assert np.all(_min_sq_dists(cov, pts) <= 1.0 - margin.value + 1e-12)
+    assert np.all(_min_sq_dists(cov, pts) <= 1.0 - 1.0 / (64.0 * 7 * 7) + 1e-12)
 
 
 def test_etf_cover_unavailable_order():
@@ -182,7 +178,7 @@ def test_axis_cover_d4():
     cov, margin = axis_cover(4)
     assert len(cov) == 8
     assert cov.radius == pytest.approx(math.sqrt(61.0 / 64.0), rel=1e-15)
-    assert margin.value == pytest.approx(3.0 / 64.0, rel=1e-15)
+    assert margin == pytest.approx(3.0 / 64.0, rel=1e-15)
     # center set closed under negation
     assert np.all(np.any(np.isclose(cov.centers[:, None, :], -cov.centers[None, :, :]).all(axis=2), axis=1))
 
@@ -196,7 +192,7 @@ def test_axis_cover_d1_interval():
 
 
 def test_axis_cover_sampling_d16():
-    cov, margin = axis_cover(16)
+    cov, _ = axis_cover(16)
     pts = _samples(16, 10000, seed=22)
     sq = _min_sq_dists(cov, pts)
     assert np.all(np.sqrt(sq) <= cov.radius + 1e-12)
@@ -294,49 +290,3 @@ def test_check_reach_rejects_centers_poisoned_after_construction(bad):
     cov.centers[1, 2] = bad
     with pytest.raises(ValueError, match="cannot reach"):
         cov.check_reach()
-
-
-def test_margin_validation():
-    with pytest.raises(ValueError):
-        CoverMargin("bogus", 0.1)
-    with pytest.raises(ValueError):
-        CoverMargin(UNIFORM, -0.1)
-
-
-@pytest.mark.parametrize("kind", [STRICT_OPEN, UNIFORM])
-def test_margin_rejects_nan(kind):
-    with pytest.raises(ValueError, match="nonnegative"):
-        CoverMargin(kind, math.nan)
-
-
-def test_banach_simplex_search_euclidean_consistency():
-    space = LpSpace(2, 2.0)
-    a, cov = banach_simplex_search(space, smoothness_majorant_for(space), 4000, seed=30)
-    assert a is not None and a >= 0.25  # a = 1/(2d) is guaranteed to work
-    assert len(cov) == 3
-
-
-def test_banach_simplex_search_l4():
-    space = LpSpace(2, 4.0)
-    a, cov = banach_simplex_search(space, smoothness_majorant_for(space), 4000, seed=31)
-    assert a is not None and a > 0.0
-    pts = _samples(2, 1000, seed=32, p=4.0)
-    dists = np.min(
-        np.array([np.linalg.norm(pts - c[None, :], ord=4.0, axis=1) for c in cov.centers]), axis=0
-    )
-    assert np.all(dists < 1.0)
-
-
-def test_banach_simplex_search_d8():
-    space = LpSpace(8, 2.0)
-    a, cov = banach_simplex_search(space, smoothness_majorant_for(space), 4000, seed=33)
-    assert a is not None and a >= 1.0 / 16.0
-
-
-def test_banach_simplex_search_large_d_skips_unreachable_steps():
-    # at d = 17 the a = 1/2 layout puts the last center beyond reach; the
-    # search must walk down the grid instead of failing
-    space = LpSpace(17, 2.0)
-    a, cov = banach_simplex_search(space, smoothness_majorant_for(space), 2000, seed=34)
-    assert a is not None and a >= 1.0 / 34.0
-    assert len(cov) == 18

@@ -5,7 +5,6 @@ from ballcover import hadamard
 from ballcover.hadamard import (
     HadamardMatrix,
     kronecker,
-    normalize_first_row,
     sylvester,
     verify_hadamard,
 )
@@ -46,29 +45,6 @@ def test_kronecker_h2_h4():
     assert h.order == 8
     assert verify_hadamard(h.entries)
     assert np.array_equal(h.entries.T @ h.entries, 8 * np.identity(8, dtype=np.int64))
-
-
-def test_normalize_first_row_unchanged():
-    h = sylvester(2)
-    assert np.array_equal(normalize_first_row(h).entries, h.entries)
-
-
-def test_normalize_first_row_involution():
-    h = sylvester(2)
-    flipped = h.entries.copy()
-    flipped[:, 2] *= -1
-    restored = normalize_first_row(HadamardMatrix(flipped))
-    assert np.array_equal(restored.entries, h.entries)
-
-
-def test_normalize_random_flips():
-    rng = np.random.default_rng(2)
-    h = sylvester(3)
-    signs = rng.choice([-1, 1], size=8)
-    flipped = HadamardMatrix(h.entries * signs[None, :])
-    fixed = normalize_first_row(flipped)
-    assert np.all(fixed.entries[0] == 1)
-    assert np.array_equal(fixed.entries.T @ fixed.entries, 8 * np.identity(8, dtype=np.int64))
 
 
 def test_verify_rejects():

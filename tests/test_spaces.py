@@ -6,13 +6,12 @@ import pytest
 from ballcover.spaces import (
     LpSpace,
     SmoothnessMajorant,
+    ball_from_rng,
     norm,
     norming_coords,
     norms,
-    sample_ball,
     sample_sphere,
     smoothness_majorant_for,
-    smoothness_upper_bound,
     solve_step_size,
     solve_step_size_bisect,
 )
@@ -131,10 +130,16 @@ def test_majorant_validation():
         SmoothnessMajorant(1.0, 2.5)
 
 
+def _sandwich_upper(space, maj, x, y, u):
+    # ||x|| + u F_x(y) + 2 ||x|| omega(|u| ||y|| / ||x||), the upper end of the sandwich
+    nx = norm(space, x)
+    return nx + u * float(_functional(space, x) @ y) + 2.0 * nx * maj.value(abs(u) * norm(space, y) / nx)
+
+
 def test_smoothness_bound_zero_step():
     space = LpSpace(2, 2.0)
     maj = smoothness_majorant_for(space)
-    b = smoothness_upper_bound([1.0, 0.0], [0.0, 1.0], 0.0, space, maj)
+    b = _sandwich_upper(space, maj, [1.0, 0.0], [0.0, 1.0], 0.0)
     assert b == pytest.approx(1.0, abs=1e-15)
 
 
@@ -142,7 +147,7 @@ def test_smoothness_bound_dominates():
     space = LpSpace(2, 2.0)
     maj = smoothness_majorant_for(space)  # omega(u) = u^2
     x = np.array([1.0, 0.0])
-    b = smoothness_upper_bound(x, x, 0.1, space, maj)
+    b = _sandwich_upper(space, maj, x, x, 0.1)
     assert b == pytest.approx(1.0 + 0.1 + 2.0 * 0.01, rel=1e-14)
     assert norm(space, 1.1 * x) <= b
 
@@ -228,15 +233,15 @@ def test_sample_sphere_coordinate_symmetry():
 
 def test_sample_ball_containment():
     space = LpSpace(4, 2.0)
-    xs = sample_ball(space, 1000, seed=5)
+    xs = ball_from_rng(space, 1000, np.random.default_rng(5))
     assert np.all(np.linalg.norm(xs, axis=1) <= 1.0 + 1e-12)
-    cube = sample_ball(LpSpace(3, math.inf), 100, seed=6)
+    cube = ball_from_rng(LpSpace(3, math.inf), 100, np.random.default_rng(6))
     assert np.all(np.abs(cube) <= 1.0 + 1e-12)
 
 
 def test_sample_ball_radius_fraction():
     # area ratio in d = 2: P(||x|| <= 1/2) = 1/4
-    xs = sample_ball(LpSpace(2, 2.0), 100000, seed=7)
+    xs = ball_from_rng(LpSpace(2, 2.0), 100000, np.random.default_rng(7))
     frac = np.mean(np.linalg.norm(xs, axis=1) <= 0.5)
     assert abs(frac - 0.25) <= 0.01
 
@@ -244,5 +249,6 @@ def test_sample_ball_radius_fraction():
 def test_sampling_deterministic():
     space = LpSpace(3, 3.0)
     assert np.array_equal(sample_sphere(space, 50, seed=9), sample_sphere(space, 50, seed=9))
-    assert np.array_equal(sample_ball(space, 50, seed=9), sample_ball(space, 50, seed=9))
+    ball = [ball_from_rng(space, 50, np.random.default_rng(9)) for _ in range(2)]
+    assert np.array_equal(ball[0], ball[1])
     assert not np.array_equal(sample_sphere(space, 50, seed=9), sample_sphere(space, 50, seed=10))

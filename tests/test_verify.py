@@ -24,11 +24,10 @@ from ballcover.verify import (
     affine_hull_distance,
     certify_maximality,
     certify_sampling,
-    check_point,
     harden_dictionary,
     linf_vertex_check,
+    min_distances,
     nearest,
-    select_positive_entry,
     simplex_dichotomy_check,
     uncovered_witness,
 )
@@ -141,24 +140,42 @@ def test_nearest_shape_errors():
 
 def test_check_point_simplex_origin():
     cov, _ = simplex_cover_unit(2)
-    assert check_point(cov, [0.0, 0.0]) == pytest.approx(0.75, rel=1e-15)
+    assert cov.radius - min_distances(cov, [[0.0, 0.0]])[0] == pytest.approx(0.75, rel=1e-15)
 
 
 def test_check_point_at_center():
     cov, _ = axis_cover(3)
-    assert check_point(cov, cov.centers[0]) == pytest.approx(cov.radius, rel=1e-15)
+    margin = cov.radius - min_distances(cov, cov.centers[:1])[0]
+    assert margin == pytest.approx(cov.radius, rel=1e-15)
 
 
 def test_check_point_axis_e1():
     cov, _ = axis_cover(4)
     expected = cov.radius - (1.0 - 1.0 / 8.0)
-    assert check_point(cov, [1.0, 0.0, 0.0, 0.0]) == pytest.approx(expected, rel=1e-14)
+    margin = cov.radius - min_distances(cov, [[1.0, 0.0, 0.0, 0.0]])[0]
+    assert margin == pytest.approx(expected, rel=1e-14)
 
 
 def test_check_point_dimension_mismatch():
     cov, _ = axis_cover(3)
     with pytest.raises(ValueError):
-        check_point(cov, [1.0, 0.0])
+        min_distances(cov, [[1.0, 0.0]])
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_single_row_query_matches_batch(p):
+    # a block of one row sums in coordinate order like a block of many, so a
+    # point gets the same bits alone as in a batch
+    rng = np.random.default_rng(71)
+    d, m = 16, 40
+    centers = rng.standard_normal((m, d))
+    xs = rng.standard_normal((200, d))
+    space = LpSpace(d, p)
+    index, dist = nearest(space, xs, centers)
+    for k in range(xs.shape[0]):
+        i, r = nearest(space, xs[k], centers)
+        assert i[0] == index[k]
+        assert r[0] == dist[k]
 
 
 def test_certify_sampling_passes_shrunk():
@@ -225,39 +242,6 @@ def test_adversarial_axis_margin():
     point, found = adversarial_search(cov, 50, 200, seed=46)
     worst_sq = (cov.radius - found) ** 2
     assert worst_sq <= 1.0 - 3.0 / 128.0 + 1e-9
-
-
-def test_select_positive_entry_hand_cases():
-    assert select_positive_entry([1.0, -1.0, 0.0]) == 0
-    assert select_positive_entry([0.5, -0.5]) == 0
-    assert select_positive_entry([-0.5, 0.5]) == 1
-
-
-def test_select_positive_entry_threshold():
-    y = np.array([1.0, -1.0, 0.0])
-    k = select_positive_entry(y)
-    assert y[k] >= np.linalg.norm(y) / (2 * (y.size - 1))
-
-
-def test_select_positive_entry_errors():
-    with pytest.raises(ValueError):
-        select_positive_entry([0.0, 0.0])
-    with pytest.raises(ValueError):
-        select_positive_entry([1.0, 1.0])
-    with pytest.raises(ValueError):
-        select_positive_entry([1.0])
-
-
-def test_select_positive_entry_random_property():
-    rng = np.random.default_rng(47)
-    for n in range(2, 51):
-        y = rng.standard_normal((200, n))
-        y -= y.mean(axis=1, keepdims=True)
-        for row in y:
-            if np.linalg.norm(row) == 0.0:
-                continue
-            k = select_positive_entry(row)
-            assert row[k] >= np.linalg.norm(row) / (2 * (n - 1))
 
 
 def test_witness_hand_geometry():
