@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .coverings import axis_cover, basis_cover
 from .spaces import LpSpace
@@ -24,23 +24,13 @@ __all__ = [
     "table_to_csv",
 ]
 
-CSV_COLUMNS = (
-    "delta",
-    "mu",
-    "log_lower",
-    "log_volumetric_upper",
-    "log_regime_upper",
-    "log_iterated",
-    "regime_flag",
-)
-
-
 @dataclass(frozen=True)
 class BoundConstants:
     """Absolute constants of the bound statements.
 
-    Defaults are 1.0 and flagged "uncalibrated" in any output; any other
-    value supplied by the user is flagged "calibrated".
+    Defaults are 1.0 and labelled "uncalibrated" in any output; any other
+    value was typed by the user and is labelled "user-supplied". Nothing in
+    the program calibrates a constant.
     """
 
     c1: float = 1.0
@@ -52,12 +42,8 @@ class BoundConstants:
             raise ValueError(f"constants must be finite and positive, got c1={self.c1} c2={self.c2}")
 
     @property
-    def calibrated(self) -> bool:
-        return (self.c1, self.c2) != (1.0, 1.0)
-
-    @property
     def label(self) -> str:
-        return "calibrated" if self.calibrated else "uncalibrated"
+        return "uncalibrated" if (self.c1, self.c2) == (1.0, 1.0) else "user-supplied"
 
 
 @dataclass(frozen=True)
@@ -136,6 +122,9 @@ class BoundTableRow:
     regime_flag: str
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(BoundTableRow))
+
+
 def covering_bound_table(
     space: LpSpace, delta_grid, constants: BoundConstants = BoundConstants()
 ) -> list[BoundTableRow]:
@@ -170,7 +159,7 @@ def covering_bound_table(
             polynomial = delta <= d ** (-pprime / 2.0)
         log_regime = math.log(2.0) + max(math.log(constants.c2 * d), exponent)
         iterations = 1 if eps >= base_radius else math.ceil(math.log(eps) / math.log(base_radius))
-        log_iterated = iterations * math.log(2.0 * d)
+        log_iterated = iterations * math.log(len(base))
         rows.append(
             BoundTableRow(
                 delta=delta,
@@ -191,15 +180,5 @@ def table_to_csv(rows, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    repr(row.delta),
-                    repr(row.mu),
-                    repr(row.log_lower),
-                    repr(row.log_volumetric_upper),
-                    repr(row.log_regime_upper),
-                    repr(row.log_iterated),
-                    row.regime_flag,
-                ]
-            )
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in astuple(row)])
 

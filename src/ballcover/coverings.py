@@ -137,6 +137,12 @@ def etf_cover(d: int) -> tuple[BallCovering, float]:
     return cov, margin
 
 
+def _symmetric_cover(space: LpSpace, vectors, a: float, radius: float, provenance: str) -> BallCovering:
+    # closed balls at +-a v for the rows v of vectors, checked for reach
+    centers = np.vstack([a * vectors, -a * vectors])
+    return BallCovering(space, centers, radius, closed=True, provenance=provenance).check_reach()
+
+
 def dictionary_cover_l2(dictionary: Dictionary, mu: float) -> BallCovering:
     """2N closed balls at +-mu g_j with radius sqrt(1 - mu^2).
 
@@ -149,14 +155,13 @@ def dictionary_cover_l2(dictionary: Dictionary, mu: float) -> BallCovering:
         raise ValueError("requires p = 2")
     if not 0.0 < mu <= 2.0 ** -0.5:
         raise ValueError(f"mu must lie in (0, 1/sqrt(2)], got {mu}")
-    centers = np.vstack([mu * dictionary.vectors, -mu * dictionary.vectors])
-    return BallCovering(
+    return _symmetric_cover(
         dictionary.space,
-        centers,
+        dictionary.vectors,
+        mu,
         math.sqrt(1.0 - mu * mu),
-        closed=True,
-        provenance=f"dict-l2(N={len(dictionary)}, mu={mu!r})",
-    ).check_reach()
+        f"dict-l2(N={len(dictionary)}, mu={mu!r})",
+    )
 
 
 def _smooth_cover(space: LpSpace, vectors, mu: float, majorant, provenance) -> BallCovering:
@@ -166,8 +171,7 @@ def _smooth_cover(space: LpSpace, vectors, mu: float, majorant, provenance) -> B
     radius = 1.0 - 0.5 * mu * a
     if radius < 0.5 + a:
         raise ValueError(f"radius {radius} is below the small-norm requirement 1/2 + {a}")
-    centers = np.vstack([a * vectors, -a * vectors])
-    return BallCovering(space, centers, radius, closed=True, provenance=provenance(a)).check_reach()
+    return _symmetric_cover(space, vectors, a, radius, provenance(a))
 
 
 def dictionary_cover_banach(
@@ -202,32 +206,26 @@ def axis_cover(d: int) -> tuple[BallCovering, float]:
     a = 0.25 / math.sqrt(d)
     margin = 3.0 / (16.0 * d)
     radius = max(0.5 + a, math.sqrt(1.0 - margin))
-    centers = np.vstack([a * np.identity(d), -a * np.identity(d)])
-    cov = BallCovering(
-        space, centers, radius, closed=True, provenance=f"axis(d={d}, a={a!r})"
-    ).check_reach()
-    return cov, margin
+    return _symmetric_cover(space, np.identity(d), a, radius, f"axis(d={d}, a={a!r})"), margin
 
 
-def basis_cover(space: LpSpace, k_const: float = 1.0) -> BallCovering:
-    """2d closed balls at +-a e_j with mu = 1/(K d) and a the step-size root.
+def basis_cover(space: LpSpace) -> BallCovering:
+    """2d closed balls at +-a e_j with mu = 1/d and a the step-size root.
 
     Deterministic pigeonhole guarantee: expanding x in the standard basis
-    (K = 1 in lp) shows some |F_x(e_k)| >= 1/(Kd), so radius 1 - a mu / 2
-    suffices for ||x|| >= 1/2 and the build-time requirement radius >= 1/2 + a
-    covers the rest. A larger K only shrinks mu.
+    (basis constant K = 1 in lp) shows some |F_x(e_k)| >= 1/d, so radius
+    1 - a mu / 2 suffices for ||x|| >= 1/2 and the build-time requirement
+    radius >= 1/2 + a covers the rest. The provenance names K = 1.0.
     """
     if not space.smooth:
         raise ValueError("requires 1 < p < inf")
-    if not k_const >= 1.0:
-        raise ValueError(f"basis constant K must be at least 1, got {k_const}")
-    mu = 1.0 / (k_const * space.d)
+    mu = 1.0 / space.d
     return _smooth_cover(
         space,
         np.identity(space.d),
         mu,
         smoothness_majorant_for(space),
-        lambda a: f"basis(d={space.d}, K={k_const!r}, mu={mu!r}, a={a!r})",
+        lambda a: f"basis(d={space.d}, K=1.0, mu={mu!r}, a={a!r})",
     )
 
 

@@ -112,8 +112,17 @@ def norming_coords(space: LpSpace, xs) -> np.ndarray:
     nrm = norms(space, xs)
     if np.any(nrm == 0.0):
         raise ValueError("norming functional of the zero vector is undefined")
-    p = space.p
-    return np.sign(xs) * np.abs(xs) ** (p - 1.0) / nrm[:, None] ** (p - 1.0)
+    return _norming(space.p, xs, nrm)
+
+
+def _norming(p: float, xs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    # sign(x) |x|^(p-1) / length^(p-1) per row, one rounding per operation
+    # as in the formula
+    out = np.abs(xs)
+    out **= p - 1.0
+    out *= np.sign(xs)
+    out /= (lengths ** (p - 1.0))[:, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,7 @@ def sphere_from_rng(space: LpSpace, n: int, rng: np.random.Generator) -> np.ndar
     mag = rng.gamma(1.0 / p, 1.0, size=(n, d)) ** (1.0 / p)
     sgn = rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
     x = sgn * mag
-    return x / np.linalg.norm(x, ord=p, axis=1, keepdims=True)
+    return x / norms(space, x)[:, None]
 
 
 def ball_from_rng(space: LpSpace, n: int, rng: np.random.Generator) -> np.ndarray:

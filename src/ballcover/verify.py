@@ -14,13 +14,14 @@ from scipy.spatial.distance import cdist
 
 from .coverings import BallCovering
 from .dictionaries import Dictionary, _Admission
-from .spaces import LpSpace, ball_from_rng, norm, norms, sphere_from_rng
+from .spaces import LpSpace, _norming, ball_from_rng, norm, norms, sphere_from_rng
 
 __all__ = [
     "PASS_TOL",
     "ADVERSARIAL_TOL",
     "CoverageReport",
     "VertexCoverReport",
+    "covered",
     "nearest",
     "min_distances",
     "certify_sampling",
@@ -133,6 +134,13 @@ def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
     return _nearest_to(space, centers)(xs)
 
 
+def covered(cov: BallCovering, margins, tol: float = PASS_TOL):
+    """The pass rule for signed margins radius - distance: a closed cover
+    passes at margin >= -tol, an open one needs margin > 0. Phrased so that
+    a NaN margin fails. Takes a float or an array of them."""
+    return margins >= -tol if cov.closed else margins > 0.0
+
+
 def min_distances(cov: BallCovering, xs) -> np.ndarray:
     """Distance from each row of xs to its nearest center of cov, as nearest()
     computes it: never from the p = 2 selection score, always from x - c."""
@@ -154,9 +162,8 @@ def certify_sampling(cov: BallCovering, n_ball: int, n_sphere: int, seed: int) -
     """Sample the ball interior and the sphere; report the worst signed margin.
 
     Sphere points stress the binding constraints (the proof margins bind at
-    the boundary). Closed coverings pass at margin >= -1e-12; open coverings
-    need strictly positive margins. The first failing sample, if any, is the
-    witness.
+    the boundary). Each margin passes or fails by covered(). The first
+    failing sample, if any, is the witness.
     """
     if n_ball < 0 or n_sphere < 0 or n_ball + n_sphere < 1:
         raise ValueError("need at least one sample")
@@ -169,8 +176,7 @@ def certify_sampling(cov: BallCovering, n_ball: int, n_sphere: int, seed: int) -
     xs = np.vstack(parts)
     margins = cov.radius - min_distances(cov, xs)
     worst = float(np.min(margins))
-    # phrased so that a NaN margin fails
-    bad = ~(margins >= -PASS_TOL) if cov.closed else ~(margins > 0.0)
+    bad = ~covered(cov, margins)
     any_bad = bool(bad.any())
     return CoverageReport(
         samples_tested=xs.shape[0],
@@ -192,13 +198,7 @@ def _norm_gradient(space: LpSpace, z: np.ndarray) -> np.ndarray:
         rows = np.arange(z.shape[0])
         out[rows, idx] = np.sign(z[rows, idx])
     else:
-        # sign(z) |z|^(p-1) / ||z||^(p-1), one rounding per operation as in the formula
-        e = space.p - 1.0
-        out = np.abs(z)
-        out **= e
-        out *= np.sign(z)
-        scale = lengths if all_ok else np.where(ok, lengths, 1.0)
-        out /= (scale**e)[:, None]
+        out = _norming(space.p, z, lengths if all_ok else np.where(ok, lengths, 1.0))
     if not all_ok:
         out[~ok] = 0.0
     return out
@@ -362,7 +362,7 @@ def linf_vertex_check(
         center_count=1 << d,
         samples_tested=n_samples,
         min_sample_margin=min_margin,
-        samples_covered=bool(min_margin > 0.0),
+        samples_covered=covered(cov, min_margin),
         centers_tested=n_centers,
         max_vertices_per_ball=max_in_ball,
         vertex_pair_distance=pair_distance,
@@ -441,7 +441,7 @@ def harden_dictionary(
         for lo in range(0, count * restarts, restarts):
             round_index += 1
             pts, vals = all_pts[lo : lo + restarts], all_vals[lo : lo + restarts]
-            violating = np.nonzero(vals > cov.radius + ADVERSARIAL_TOL)[0]
+            violating = np.nonzero(~covered(cov, cov.radius - vals, ADVERSARIAL_TOL))[0]
             if violating.size == 0:
                 clean += 1
                 if clean >= clean_rounds:

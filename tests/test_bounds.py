@@ -99,7 +99,7 @@ def test_constants_validation_and_label():
         with pytest.raises(ValueError):
             BoundConstants(c2=bad)
     assert BoundConstants().label == "uncalibrated"
-    assert BoundConstants(c1=1.0, c2=2.0).label == "calibrated"
+    assert BoundConstants(c1=1.0, c2=2.0).label == "user-supplied"
 
 
 def test_mu_delta_roundtrip_p2():

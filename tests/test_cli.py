@@ -329,7 +329,7 @@ def test_bounds_table_out_writes_json(tmp_path, capsys):
     assert capsys.readouterr().out == f"wrote {out}\n"
     blob = _read(out)
     assert blob["seed"] == 6
-    assert blob["constants"] == {"c1": 1.0, "c2": 2.0, "label": "calibrated"}
+    assert blob["constants"] == {"c1": 1.0, "c2": 2.0, "label": "user-supplied"}
     assert len(blob["rows"]) == 3
 
 
@@ -365,6 +365,13 @@ def test_selftest_byte_identical():
     report = json.loads(first.stdout)
     assert report["all_passed"] is True
     assert report["seed"] == 7
+
+
+def test_selftest_fails_without_the_exact_hadamard_check(monkeypatch, capsys):
+    # hadamard-exact relies on the check sylvester's matrices pass when built
+    monkeypatch.setattr("ballcover.hadamard.verify_hadamard", lambda entries: False)
+    assert main(["selftest"]) != 0
+    assert "not Hadamard" in capsys.readouterr().err
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

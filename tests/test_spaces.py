@@ -12,6 +12,7 @@ from ballcover.spaces import (
     norms,
     sample_sphere,
     smoothness_majorant_for,
+    sphere_from_rng,
     solve_step_size,
     solve_step_size_bisect,
 )
@@ -43,6 +44,29 @@ def test_norms_bit_identical_to_linalg(p):
     xs[[3, 41]] = 0.0
     for rows in (xs, np.asfortranarray(xs)):
         np.testing.assert_array_equal(norms(LpSpace(7, p), rows), np.linalg.norm(xs, ord=p, axis=1))
+
+
+def _old_sphere_from_rng(space, n, rng):
+    # the sampler as it normalised its rows with np.linalg.norm(keepdims=True)
+    d, p = space.d, space.p
+    if math.isinf(p):
+        x = rng.uniform(-1.0, 1.0, size=(n, d))
+        return x / np.max(np.abs(x), axis=1, keepdims=True)
+    mag = rng.gamma(1.0 / p, 1.0, size=(n, d)) ** (1.0 / p)
+    sgn = rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
+    x = sgn * mag
+    return x / np.linalg.norm(x, ord=p, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.5, 4.0, math.inf])
+@pytest.mark.parametrize("d", [1, 8, 33])
+def test_sphere_from_rng_bits_match_linalg_normalisation(p, d):
+    space = LpSpace(d, p)
+    for seed in (0, 1, 97):
+        np.testing.assert_array_equal(
+            sphere_from_rng(space, 300, np.random.default_rng(seed)),
+            _old_sphere_from_rng(space, 300, np.random.default_rng(seed)),
+        )
 
 
 def test_norm_pythagorean():

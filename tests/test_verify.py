@@ -15,7 +15,15 @@ from ballcover.coverings import (
 from ballcover.dictionaries import Dictionary, coherence_banach
 from ballcover.frames import etf_from_hadamard
 from ballcover.hadamard import sylvester
-from ballcover.spaces import LpSpace, ball_from_rng, norm, norms, sample_sphere, smoothness_majorant_for
+from ballcover.spaces import (
+    LpSpace,
+    ball_from_rng,
+    norm,
+    norming_coords,
+    norms,
+    sample_sphere,
+    smoothness_majorant_for,
+)
 from ballcover.verify import (
     _BLOCK_ENTRIES,
     ADVERSARIAL_TOL,
@@ -23,7 +31,10 @@ from ballcover.verify import (
     adversarial_search,
     affine_hull_distance,
     certify_maximality,
+    PASS_TOL,
+    _norm_gradient,
     certify_sampling,
+    covered,
     harden_dictionary,
     linf_vertex_check,
     min_distances,
@@ -207,6 +218,56 @@ def test_certify_sampling_fails_on_nan_distance(closed, p):
     report = certify_sampling(cov, 100, 100, seed=62)
     assert not report.passed
     assert report.failure_witness is not None
+
+
+# (margin, closed verdict at PASS_TOL, at ADVERSARIAL_TOL); open covers pass above 0 only
+COVERED_CASES = [
+    (1e-3, True, True),
+    (0.0, True, True),
+    (-PASS_TOL / 2, True, True),
+    (-2 * PASS_TOL, False, True),
+    (-ADVERSARIAL_TOL / 2, False, True),
+    (math.nan, False, False),
+]
+
+
+@pytest.mark.parametrize("margin, closed_default, closed_adversarial", COVERED_CASES)
+def test_covered(margin, closed_default, closed_adversarial):
+    closed = BallCovering(LpSpace(2, 2.0), [[0.0, 0.0]], 1.0, True, "closed")
+    open_ = BallCovering(LpSpace(2, 2.0), [[0.0, 0.0]], 1.0, False, "open")
+    for tol, want in ((PASS_TOL, closed_default), (ADVERSARIAL_TOL, closed_adversarial)):
+        assert covered(closed, margin, tol) is want
+        assert covered(open_, margin, tol) is (margin > 0.0)
+    assert covered(closed, margin) is closed_default
+
+
+def test_covered_array():
+    margins = np.array([case[0] for case in COVERED_CASES])
+    closed = BallCovering(LpSpace(2, 2.0), [[0.0, 0.0]], 1.0, True, "closed")
+    open_ = BallCovering(LpSpace(2, 2.0), [[0.0, 0.0]], 1.0, False, "open")
+    np.testing.assert_array_equal(covered(closed, margins), [case[1] for case in COVERED_CASES])
+    np.testing.assert_array_equal(
+        covered(closed, margins, ADVERSARIAL_TOL), [case[2] for case in COVERED_CASES]
+    )
+    for tol in (PASS_TOL, ADVERSARIAL_TOL):
+        np.testing.assert_array_equal(covered(open_, margins, tol), [True] + [False] * 5)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 3.5, 4.0, 7.25])
+@pytest.mark.parametrize("d", [1, 3, 8, 16, 33])
+def test_norm_gradient_bits_match_the_formula(p, d):
+    # the ascent's subgradient is the norming functional, with zero rows kept at zero
+    space = LpSpace(d, p)
+    rng = np.random.default_rng(int(10 * p) + d)
+    z = rng.standard_normal((40, d))
+    z[rng.random((40, d)) < 0.1] = 0.0
+    z[[5, 17]] = 0.0
+    lengths = np.linalg.norm(z, ord=p, axis=1)
+    ok = lengths > 0.0
+    want = np.zeros_like(z)
+    want[ok] = np.sign(z[ok]) * np.abs(z[ok]) ** (p - 1.0) / lengths[ok, None] ** (p - 1.0)
+    np.testing.assert_array_equal(_norm_gradient(space, z), want)
+    np.testing.assert_array_equal(norming_coords(space, z[ok]), want[ok])
 
 
 def test_certify_sampling_strict_open():
