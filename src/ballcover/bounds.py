@@ -1,5 +1,6 @@
-"""Covering-number and dictionary-size bound evaluators with explicit,
-user-supplied constants; all arithmetic in log space."""
+"""Covering-number and dictionary-size bound evaluators; all arithmetic in
+log space. The paper leaves the absolute constants of its bound statements
+unspecified; here they are fixed at 1.0 and labelled uncalibrated."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from .coverings import axis_cover, basis_cover
 from .spaces import LpSpace
 
 __all__ = [
-    "BoundConstants",
+    "CONSTANTS",
     "VolumetricBounds",
     "BoundTableRow",
     "CSV_COLUMNS",
@@ -24,26 +25,9 @@ __all__ = [
     "table_to_csv",
 ]
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """Absolute constants of the bound statements.
-
-    Defaults are 1.0 and labelled "uncalibrated" in any output; any other
-    value was typed by the user and is labelled "user-supplied". Nothing in
-    the program calibrates a constant.
-    """
-
-    c1: float = 1.0
-    c2: float = 1.0
-
-    def __post_init__(self):
-        # phrased so that NaN fails
-        if not (0.0 < self.c1 < math.inf and 0.0 < self.c2 < math.inf):
-            raise ValueError(f"constants must be finite and positive, got c1={self.c1} c2={self.c2}")
-
-    @property
-    def label(self) -> str:
-        return "uncalibrated" if (self.c1, self.c2) == (1.0, 1.0) else "user-supplied"
+# the absolute constants C1 and C2 of the bound statements, as every output
+# reports them; nothing in the program calibrates them
+CONSTANTS = {"c1": 1.0, "c2": 1.0, "label": "uncalibrated"}
 
 
 @dataclass(frozen=True)
@@ -69,8 +53,8 @@ def volumetric_bounds(d: int, eps: float) -> VolumetricBounds:
     return VolumetricBounds(log_lower=log_lower, log_upper=log_upper)
 
 
-def ndmu_upper(d: int, mu: float, constants: BoundConstants = BoundConstants()) -> float:
-    """Log of the Euclidean dictionary-size bound: c1 d mu^2 ln(2/mu).
+def ndmu_upper(d: int, mu: float) -> float:
+    """Log of the Euclidean dictionary-size bound: C1 d mu^2 ln(2/mu), C1 = 1.
 
     Stated for mu in [(2d)^-1/2, 1/2]; values below the floor are evaluated
     with a warning, values above 1/2 are rejected.
@@ -84,16 +68,16 @@ def ndmu_upper(d: int, mu: float, constants: BoundConstants = BoundConstants()) 
             f"mu={mu} is below the stated validity floor (2d)^(-1/2); value extrapolated",
             stacklevel=2,
         )
-    return constants.c1 * d * mu * mu * math.log(2.0 / mu)
+    return d * mu * mu * math.log(2.0 / mu)
 
 
-def ndmux_upper(d: int, mu: float, constants: BoundConstants = BoundConstants()) -> float:
-    """Log of max(c2 d, exp(c2 d mu^2 ln(2/mu))): the rank-based size cap."""
+def ndmux_upper(d: int, mu: float) -> float:
+    """Log of max(C2 d, exp(C2 d mu^2 ln(2/mu))), C2 = 1: the rank-based size cap."""
     if d < 1:
         raise ValueError("d must be positive")
     if not 0.0 < mu <= 0.5:
         raise ValueError(f"mu must lie in (0, 1/2], got {mu}")
-    return max(math.log(constants.c2 * d), constants.c2 * d * mu * mu * math.log(2.0 / mu))
+    return max(math.log(d), d * mu * mu * math.log(2.0 / mu))
 
 
 def mu_from_delta(space: LpSpace, delta: float) -> float:
@@ -125,9 +109,7 @@ class BoundTableRow:
 CSV_COLUMNS = tuple(f.name for f in fields(BoundTableRow))
 
 
-def covering_bound_table(
-    space: LpSpace, delta_grid, constants: BoundConstants = BoundConstants()
-) -> list[BoundTableRow]:
+def covering_bound_table(space: LpSpace, delta_grid) -> list[BoundTableRow]:
     """Bound table over radius defects delta (radius 1 - delta), in log space.
 
     Each row carries the volumetric bounds, the p-regime bound (the p >= 2
@@ -151,13 +133,13 @@ def covering_bound_table(
         vol = volumetric_bounds(d, eps)
         mu = mu_from_delta(space, delta)
         if p >= 2.0:
-            exponent = 8.0 * constants.c2 * d * p * delta * math.log(1.0 / (4.0 * p * delta))
+            exponent = 8.0 * d * p * delta * math.log(1.0 / (4.0 * p * delta))
             polynomial = delta * p * d <= 1.0
         else:
             pprime = p / (p - 1.0)
-            exponent = constants.c2 * d * delta ** (2.0 / pprime) * math.log(2.0 / delta)
+            exponent = d * delta ** (2.0 / pprime) * math.log(2.0 / delta)
             polynomial = delta <= d ** (-pprime / 2.0)
-        log_regime = math.log(2.0) + max(math.log(constants.c2 * d), exponent)
+        log_regime = math.log(2.0) + max(math.log(d), exponent)
         iterations = 1 if eps >= base_radius else math.ceil(math.log(eps) / math.log(base_radius))
         log_iterated = iterations * math.log(len(base))
         rows.append(

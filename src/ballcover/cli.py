@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from .bounds import BoundConstants, covering_bound_table, table_to_csv, volumetric_bounds
+from .bounds import CONSTANTS, covering_bound_table, table_to_csv, volumetric_bounds
 from .coverings import (
     axis_cover,
     basis_cover,
@@ -65,8 +64,6 @@ from .verify import (
     uncovered_witness,
 )
 
-ENV_SEED = "BALLCOVER_SEED"
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
@@ -78,10 +75,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _parse_p(raw: str) -> float:
-    return math.inf if raw in ("inf", "Inf", "INF") else float(raw)
 
 
 def _sylvester(order: int, least: int):
@@ -115,7 +108,7 @@ def _cmd_etf(args):
 
 
 def _cmd_dict_greedy(args):
-    space = LpSpace(args.d, _parse_p(args.p))
+    space = LpSpace(args.d, args.p)
     dictionary = greedy_maximal_dictionary(space, args.mu, args.seed)
     payload = dictionary_to_dict(dictionary)
     payload["mu"] = args.mu
@@ -181,10 +174,9 @@ CONSTRUCTIONS = {
 
 def _cmd_cover_build(args):
     needs_p2, build = CONSTRUCTIONS[args.construction]
-    p = _parse_p(args.p)
-    if needs_p2 and p != 2.0:
+    if needs_p2 and args.p != 2.0:
         raise ValueError(f"construction {args.construction!r} requires p = 2")
-    return covering_to_dict(iterate_cover(build(args, LpSpace(args.d, p)), args.iterate)), True
+    return covering_to_dict(iterate_cover(build(args, LpSpace(args.d, args.p)), args.iterate)), True
 
 
 def _cmd_cover_verify(args):
@@ -213,7 +205,7 @@ def _cmd_cover_verify(args):
 def _cmd_witness(args):
     with open(args.centers) as fh:
         centers = _floats(_object(json.load(fh), "centers file")["centers"], "centers")
-    space = LpSpace(args.d, _parse_p(args.p))
+    space = LpSpace(args.d, args.p)
     z = uncovered_witness(space, centers)
     payload = {
         "witness": z.tolist(),
@@ -234,19 +226,14 @@ def _parse_grid(raw: str) -> np.ndarray:
 
 
 def _cmd_bounds_table(args):
-    space = LpSpace(args.d, _parse_p(args.p))
-    constants = BoundConstants(c1=args.c1, c2=args.c2)
-    rows = covering_bound_table(space, _parse_grid(args.delta_grid), constants)
+    space = LpSpace(args.d, args.p)
+    rows = covering_bound_table(space, _parse_grid(args.delta_grid))
     if args.csv:
         table_to_csv(rows, args.csv)
-        print(f"wrote {args.csv} (constants {constants.label}: C1={constants.c1} C2={constants.c2})")
+        print(f"wrote {args.csv} (constants {CONSTANTS['label']}: C1={CONSTANTS['c1']} C2={CONSTANTS['c2']})")
         if not (args.json or args.out):
             return None, True
-    payload = {
-        "constants": {"c1": constants.c1, "c2": constants.c2, "label": constants.label},
-        "rows": [asdict(row) for row in rows],
-    }
-    return payload, True
+    return {"constants": CONSTANTS, "rows": [asdict(row) for row in rows]}, True
 
 
 def _selftest_checks(seed: int):
@@ -401,7 +388,7 @@ def _cmd_selftest(args):
 
 
 def _add_common(parser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: $BALLCOVER_SEED or 0)")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--out", default=None, help="write JSON here instead of stdout")
     parser.add_argument("--json", action="store_true", help="force JSON on stdout")
 
@@ -424,7 +411,7 @@ def _build_parser() -> _Parser:
     dict_sub = p_dict.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     p_greedy = dict_sub.add_parser("greedy", help="greedy maximal dictionary")
     p_greedy.add_argument("--d", type=int, required=True)
-    p_greedy.add_argument("--p", default="2", help="norm exponent (number or 'inf')")
+    p_greedy.add_argument("--p", type=float, default=2.0, help="norm exponent (number or 'inf')")
     p_greedy.add_argument("--mu", type=float, required=True)
     _add_common(p_greedy)
     p_greedy.set_defaults(func=_cmd_dict_greedy)
@@ -438,7 +425,7 @@ def _build_parser() -> _Parser:
     p_build = cover_sub.add_parser("build", help="build a covering and write it as JSON")
     p_build.add_argument("--construction", choices=list(CONSTRUCTIONS), required=True)
     p_build.add_argument("--d", type=int, required=True)
-    p_build.add_argument("--p", default="2", help="norm exponent (number or 'inf')")
+    p_build.add_argument("--p", type=float, default=2.0, help="norm exponent (number or 'inf')")
     p_build.add_argument("--mu", type=float, default=None)
     p_build.add_argument("--iterate", type=int, default=1)
     _add_common(p_build)
@@ -453,7 +440,7 @@ def _build_parser() -> _Parser:
 
     p_wit = sub.add_parser("witness", help="uncovered-point witness for d stored centers")
     p_wit.add_argument("--d", type=int, required=True)
-    p_wit.add_argument("--p", default="2")
+    p_wit.add_argument("--p", type=float, default=2.0)
     p_wit.add_argument("--centers", required=True, help="JSON file with a 'centers' array")
     _add_common(p_wit)
     p_wit.set_defaults(func=_cmd_witness)
@@ -462,11 +449,9 @@ def _build_parser() -> _Parser:
     bounds_sub = p_bounds.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     p_table = bounds_sub.add_parser("table", help="covering bound table over a delta grid")
     p_table.add_argument("--d", type=int, required=True)
-    p_table.add_argument("--p", default="2")
+    p_table.add_argument("--p", type=float, default=2.0)
     p_table.add_argument("--delta-grid", dest="delta_grid", required=True, help="start:stop:count")
     p_table.add_argument("--csv", default=None)
-    p_table.add_argument("--c1", type=float, default=1.0)
-    p_table.add_argument("--c2", type=float, default=1.0)
     _add_common(p_table)
     p_table.set_defaults(func=_cmd_bounds_table)
 
@@ -483,12 +468,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.seed is None:
-            raw = os.environ.get(ENV_SEED, "0")
-            try:
-                args.seed = int(raw)
-            except ValueError:
-                raise ValueError(f"${ENV_SEED} must be an integer, got {raw!r}") from None
         payload, passed = args.func(args)
         if payload is not None:
             payload["seed"] = args.seed

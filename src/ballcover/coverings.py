@@ -239,6 +239,7 @@ def iterate_cover(cov: BallCovering, m: int) -> BallCovering:
     """
     if int(m) != m or m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+    m = int(m)
     if m == 1:
         return cov
     if cov.radius >= 1.0:

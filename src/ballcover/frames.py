@@ -8,9 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import Dictionary
 from .hadamard import HadamardMatrix
-from .spaces import LpSpace
 
 __all__ = ["TightFrame", "etf_from_hadamard", "verify_frame_identities"]
 
@@ -34,9 +32,6 @@ class TightFrame:
         object.__setattr__(self, "matrix", m)
         if m.shape != (self.dim, self.dim + 1):
             raise ValueError(f"expected shape {(self.dim, self.dim + 1)}, got {m.shape}")
-
-    def as_dictionary(self) -> Dictionary:
-        return Dictionary(space=LpSpace(self.dim, 2.0), vectors=self.matrix.T.copy())
 
     def gram_deviation(self) -> float:
         """Largest entrywise gap between the Gram matrix and (1 + 1/d) I - (1/d) J.

@@ -1,8 +1,8 @@
 """Hadamard matrices with exact integer verification.
 
-Constructions: the order-doubling recursion and Kronecker products, so the
-available orders are the powers of two. Entries are stored as integers; the
-orthogonality property H^T H = n I is checked exactly.
+Construction: the order-doubling recursion, so the available orders are the
+powers of two. Entries are stored as integers; the orthogonality property
+H^T H = n I is checked exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ __all__ = [
     "HadamardMatrix",
     "MAX_ORDER",
     "sylvester",
-    "kronecker",
     "verify_hadamard",
 ]
 
@@ -76,11 +75,3 @@ def sylvester(k: int) -> HadamardMatrix:
     for _ in range(k):
         h = np.block([[h, h], [h, -h]])
     return HadamardMatrix(h)
-
-
-def kronecker(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
-    """Kronecker product of two Hadamard matrices: Hadamard of order a.order * b.order."""
-    if a.order * b.order > MAX_ORDER:
-        raise ValueError(f"resulting order {a.order * b.order} exceeds the guard {MAX_ORDER}")
-    return HadamardMatrix(np.kron(a.entries, b.entries))
-

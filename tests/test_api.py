@@ -1,10 +1,11 @@
 """The package's public names: every ``__all__`` entry resolves, and the
-package root re-exports only names its modules declare public."""
+package root exposes only its submodules."""
 
-import ast
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -27,12 +28,13 @@ def test_all_entries_resolve(name):
 
 
 def test_package_imports_are_public():
-    tree = ast.parse(inspect.getsource(ballcover))
-    imported = 0
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            public = importlib.import_module(f"ballcover.{node.module}").__all__
-            for alias in node.names:
-                assert alias.name in public, f"{alias.name} is not in ballcover.{node.module}.__all__"
-                imported += 1
-    assert imported > 0
+    # the package root exposes its submodules and nothing else; a fresh
+    # import exposes exactly the eight library modules
+    submodules = {info.name for info in pkgutil.iter_modules(ballcover.__path__)}
+    public = {name for name in vars(ballcover) if not name.startswith("_")}
+    assert all(inspect.ismodule(getattr(ballcover, name)) for name in public)
+    assert public <= submodules
+    code = "import ballcover; print(' '.join(sorted(n for n in vars(ballcover) if not n.startswith('_'))))"
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert fresh.stdout.split() == MODULES
+    assert len(MODULES) == 8

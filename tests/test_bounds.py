@@ -7,7 +7,6 @@ import pytest
 
 from ballcover.bounds import (
     CSV_COLUMNS,
-    BoundConstants,
     covering_bound_table,
     mu_from_delta,
     ndmu_upper,
@@ -67,15 +66,14 @@ def test_ndmu_range_warning_and_errors():
 
 
 def test_ndmux_branches():
-    c = BoundConstants()
     # d = 1: max(log 1, mu^2 log(2/mu))
     assert ndmux_upper(1, 0.5) == pytest.approx(max(0.0, 0.25 * math.log(4.0)), rel=1e-14)
     # small mu = d^-1/2: linear branch dominates for large d
     d = 100
     mu = d ** -0.5
-    assert ndmux_upper(d, mu, c) == pytest.approx(math.log(c.c2 * d), rel=1e-14)
+    assert ndmux_upper(d, mu) == pytest.approx(math.log(d), rel=1e-14)
     # mu = 1/2 with large d: exponential branch dominates
-    assert ndmux_upper(100, 0.5, c) == pytest.approx(25.0 * math.log(4.0), rel=1e-14)
+    assert ndmux_upper(100, 0.5) == pytest.approx(25.0 * math.log(4.0), rel=1e-14)
 
 
 def test_bound_monotonicity():
@@ -87,19 +85,6 @@ def test_bound_monotonicity():
         grid = np.linspace(0.05, 0.5, 40)
         vals = [ndmux_upper(d, float(m)) for m in grid]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
-
-
-def test_constants_validation_and_label():
-    with pytest.raises(ValueError):
-        BoundConstants(c1=0.0)
-    # NaN and inf must fail as well; NaN compares false with everything
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            BoundConstants(c1=bad)
-        with pytest.raises(ValueError):
-            BoundConstants(c2=bad)
-    assert BoundConstants().label == "uncalibrated"
-    assert BoundConstants(c1=1.0, c2=2.0).label == "user-supplied"
 
 
 def test_mu_delta_roundtrip_p2():

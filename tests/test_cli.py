@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -324,20 +325,64 @@ def test_bounds_table_csv(tmp_path):
 
 def test_bounds_table_out_writes_json(tmp_path, capsys):
     out = tmp_path / "b.json"
-    argv = ["bounds", "table", "--d", "4", "--p", "2", "--delta-grid", "0.01:0.2:3", "--c2", "2"]
+    argv = ["bounds", "table", "--d", "4", "--p", "2", "--delta-grid", "0.01:0.2:3"]
     assert main([*argv, "--seed", "6", "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote {out}\n"
     blob = _read(out)
     assert blob["seed"] == 6
-    assert blob["constants"] == {"c1": 1.0, "c2": 2.0, "label": "user-supplied"}
+    assert blob["constants"] == {"c1": 1.0, "c2": 1.0, "label": "uncalibrated"}
     assert len(blob["rows"]) == 3
 
 
-def test_bounds_table_rejects_nan_constants(capsys):
-    argv = ["bounds", "table", "--d", "4", "--p", "2", "--delta-grid", "0.01:0.2:2"]
-    assert main([*argv, "--c1", "nan", "--c2", "nan"]) == 1
-    assert main([*argv, "--c1", "inf"]) == 1
-    assert capsys.readouterr().out == ""
+def test_bounds_table_golden_bytes(tmp_path, capsys):
+    # pins every bit of the default d = 16, p = 2 table, as CSV and as JSON
+    argv = ["bounds", "table", "--d", "16", "--p", "2", "--delta-grid", "0.005:0.2:20"]
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main([*argv, "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().out == f"wrote {csv_path} (constants uncalibrated: C1=1.0 C2=1.0)\n"
+    assert main([*argv, "--out", str(json_path)]) == 0
+    digest = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv_path, json_path)}
+    assert digest == {
+        "t.csv": "595c4cc2a6b541ebf1b888388f1d4a07962b8a3d080b57eb4afe47398dc22380",
+        "t.json": "f10770ebf34dfdf5983f68290eb20294db6fbcdf64f978a998485bf754d24b8b",
+    }
+
+
+@pytest.mark.parametrize("option", [["--c1", "1.5"], ["--c2", "2"]])
+def test_bounds_table_has_no_constant_options(tmp_path, capsys, option):
+    csv_path, out = tmp_path / "t.csv", tmp_path / "t.json"
+    argv = ["bounds", "table", "--d", "4", "--delta-grid", "0.01:0.2:3", "--csv", str(csv_path), "--out", str(out)]
+    assert main([*argv, *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert not csv_path.exists() and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "build", "--construction", "axis", "--d", "4"],
+        ["dict", "greedy", "--d", "4", "--mu", "0.5"],
+        ["witness", "--d", "3", "--centers", "c.json"],
+        ["bounds", "table", "--d", "4", "--delta-grid", "0.01:0.2:3"],
+    ],
+)
+def test_unparsable_p_is_a_usage_error(capsys, argv):
+    assert main([*argv, "--p", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid float value: 'abc'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("raw", ["inf", "Inf", "INF", "infinity"])
+def test_infinite_p_is_refused(capsys, raw):
+    argv = ["bounds", "table", "--d", "4", "--p", raw, "--delta-grid", "0.01:0.2:3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bound table requires 1 < p < inf\n"
 
 
 def test_verify_roundtrip_matches_inmemory(tmp_path):
@@ -374,19 +419,9 @@ def test_selftest_fails_without_the_exact_hadamard_check(monkeypatch, capsys):
     assert "not Hadamard" in capsys.readouterr().err
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
+def test_seed_defaults_to_zero_whatever_the_environment(tmp_path, monkeypatch):
+    # only --seed sets the seed
     monkeypatch.setenv("BALLCOVER_SEED", "123")
     out = tmp_path / "h.json"
     assert main(["hadamard", "--order", "2", "--out", str(out)]) == 0
-    assert _read(out)["seed"] == 123
-
-
-def test_env_seed_not_an_integer(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BALLCOVER_SEED", "abc")
-    out = tmp_path / "h.json"
-    assert main(["hadamard", "--order", "2", "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("error: $BALLCOVER_SEED")
-    assert not out.exists()
+    assert _read(out)["seed"] == 0

@@ -132,7 +132,8 @@ def test_dict_cover_l2_interval():
 
 
 def test_dict_cover_l2_etf():
-    d = etf_from_hadamard(sylvester(2)).as_dictionary()
+    frame = etf_from_hadamard(sylvester(2))
+    d = Dictionary(LpSpace(frame.dim, 2.0), frame.matrix.T.copy())
     cov = dictionary_cover_l2(d, 0.25)
     assert len(cov) == 8
     assert cov.radius == pytest.approx(math.sqrt(15.0) / 4.0, rel=1e-15)
@@ -240,6 +241,14 @@ def test_iterate_axis2_m2():
     # spot-check the affine composition against a direct enumeration
     direct = np.array([c1 + cov.radius * c2 for c1 in cov.centers for c2 in cov.centers])
     np.testing.assert_allclose(np.sort(it.centers, axis=0), np.sort(direct, axis=0))
+
+
+def test_iterate_integral_float_m():
+    cov, _ = axis_cover(2)
+    by_int, by_float = iterate_cover(cov, 2), iterate_cover(cov, 2.0)
+    np.testing.assert_array_equal(by_float.centers, by_int.centers)
+    assert by_float.radius == by_int.radius
+    assert by_float.provenance == by_int.provenance
 
 
 def test_iterate_count_and_radius_formula():

@@ -74,7 +74,8 @@ def test_coherence_known_pair():
 
 
 def test_coherence_etf_order4():
-    d = etf_from_hadamard(sylvester(2)).as_dictionary()
+    frame = etf_from_hadamard(sylvester(2))
+    d = Dictionary(LpSpace(frame.dim, 2.0), frame.matrix.T.copy())
     assert coherence_banach(d) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
@@ -127,7 +128,8 @@ def test_coherence_matrix_identity():
 
 
 def test_coherence_matrix_etf():
-    d = etf_from_hadamard(sylvester(2)).as_dictionary()
+    frame = etf_from_hadamard(sylvester(2))
+    d = Dictionary(LpSpace(frame.dim, 2.0), frame.matrix.T.copy())
     c = coherence_matrix(d)
     assert np.max(np.abs(np.diag(c) - 1.0)) <= 1e-12
     off = c - np.diag(np.diag(c))

@@ -92,11 +92,3 @@ def test_requires_all_ones_first_row():
     flipped[:, 1] *= -1
     with pytest.raises(ValueError):
         etf_from_hadamard(HadamardMatrix(flipped))
-
-
-def test_as_dictionary():
-    frame = etf_from_hadamard(sylvester(3))
-    d = frame.as_dictionary()
-    assert len(d) == 8
-    assert d.space.d == 7
-    np.testing.assert_array_equal(d.vectors, frame.matrix.T)

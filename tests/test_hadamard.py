@@ -4,7 +4,6 @@ import pytest
 from ballcover import hadamard
 from ballcover.hadamard import (
     HadamardMatrix,
-    kronecker,
     sylvester,
     verify_hadamard,
 )
@@ -27,24 +26,6 @@ def test_sylvester_verified_range():
         assert h.order == 2 ** k
         assert verify_hadamard(h.entries)
         assert np.all(h.entries[0] == 1)
-
-
-def test_kronecker_identity():
-    a = sylvester(2)
-    assert np.array_equal(kronecker(sylvester(0), a).entries, a.entries)
-
-
-def test_kronecker_matches_recursion():
-    h2 = sylvester(1)
-    assert np.array_equal(kronecker(h2, h2).entries, sylvester(2).entries)
-    assert np.array_equal(kronecker(h2, sylvester(2)).entries, sylvester(3).entries)
-
-
-def test_kronecker_h2_h4():
-    h = kronecker(sylvester(1), sylvester(2))
-    assert h.order == 8
-    assert verify_hadamard(h.entries)
-    assert np.array_equal(h.entries.T @ h.entries, 8 * np.identity(8, dtype=np.int64))
 
 
 def test_verify_rejects():
@@ -75,9 +56,6 @@ def test_sign_and_permutation_invariance():
 def test_size_guards():
     with pytest.raises(ValueError):
         sylvester(21)
-    big = sylvester(10)
-    with pytest.raises(ValueError):
-        kronecker(big, sylvester(11))
 
 
 @pytest.fixture
@@ -89,20 +67,16 @@ def refuse_allocation(monkeypatch):
         raise AssertionError("a guarded order was allocated or checked")
 
     def arm():
-        for name in ("block", "kron"):
-            monkeypatch.setattr(np, name, refuse)
+        monkeypatch.setattr(np, "block", refuse)
         monkeypatch.setattr(hadamard, "_gram", refuse)
 
     return arm
 
 
 def test_orders_above_the_guard_fail_without_allocating(refuse_allocation):
-    h = sylvester(7)
     refuse_allocation()
     with pytest.raises(ValueError):
         sylvester(14)
-    with pytest.raises(ValueError):
-        kronecker(h, h)
 
 
 def test_constructor_and_sylvester_read_the_guard(monkeypatch, refuse_allocation):

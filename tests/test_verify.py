@@ -413,7 +413,8 @@ def test_linf_vertex_check_guard():
 def test_certify_maximality_etf_no_augmentation():
     # max_k <x, phi_k> >= ||x||/(2d) = 1/6 > 1/8 on the sphere, so no
     # counterexample can appear
-    d = etf_from_hadamard(sylvester(2)).as_dictionary()
+    frame = etf_from_hadamard(sylvester(2))
+    d = Dictionary(LpSpace(frame.dim, 2.0), frame.matrix.T.copy())
     passed, augmented = certify_maximality(d, 1.0 / 8.0, 10000, seed=54)
     assert passed
     assert len(augmented) == len(d)
