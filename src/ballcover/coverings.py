@@ -237,7 +237,8 @@ def iterate_cover(cov: BallCovering, m: int) -> BallCovering:
     balls no longer meet the unit ball, which is harmless for coverage, so
     the reach check is skipped here.
     """
-    if int(m) != m or m < 1:
+    # phrased as LpSpace checks d, so that NaN and inf fail before int()
+    if not (1 <= m < math.inf and int(m) == m):
         raise ValueError(f"m must be a positive integer, got {m}")
     m = int(m)
     if m == 1:

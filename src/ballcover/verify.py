@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .coverings import BallCovering
@@ -55,14 +56,18 @@ def _coordinate_sum(terms: np.ndarray) -> np.ndarray:
 
 def _nearest_to(space: LpSpace, centers):
     """The nearest-center query of nearest(), with the per-cover constants
-    (the transposed centers, |c|^2 for p = 2, a block buffer) built once."""
+    (the k-d tree for p = inf, the transposed centers, |c|^2 for p = 2, a
+    block buffer) built once."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     d = space.d
     if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != d:
         raise ValueError(f"need (m >= 1, {d}) centers, got {centers.shape}")
     m, p = centers.shape[0], space.p
     if math.isinf(p):
-        width = m  # cdist's distances
+        # every |x_k - c_k| of the rows the tree cannot rank; with a
+        # non-finite center, which cKDTree refuses, that is every row
+        width = d * m
+        tree = cKDTree(centers) if np.isfinite(centers).all() else None
     else:
         coords = np.ascontiguousarray(centers.T)
         if p == 2.0:
@@ -74,10 +79,34 @@ def _nearest_to(space: LpSpace, centers):
     if math.isfinite(p):
         buf = np.empty(block_rows * (m if p == 2.0 else width))  # scores for p = 2, else the terms
 
+    def chebyshev(xs) -> tuple[np.ndarray, np.ndarray]:
+        n = xs.shape[0]
+        index = np.empty(n, dtype=np.intp)
+        dist = np.empty(n)
+        exact = np.zeros(n, dtype=bool) if tree is None else np.isfinite(xs).all(axis=1)
+        if exact.any():
+            two, pair = tree.query(xs if exact.all() else xs[exact], k=2, p=np.inf)
+            dist[exact] = two[:, 0]
+            index[exact] = pair[:, 0]
+            # a Chebyshev distance is a max of exact |x_k - c_k|, so the
+            # tree's are cdist's bits; only a tie leaves the index open
+            exact[exact] = two[:, 0] < two[:, 1]
+        slow = np.flatnonzero(~exact)
+        for lo in range(0, slow.size, block_rows):
+            rows = slow[lo : lo + block_rows]
+            diff = xs[rows, None, :] - centers
+            gaps = np.abs(diff, out=diff).max(axis=2)  # NaN propagates, unlike in cdist
+            i = gaps.argmin(axis=1)
+            index[rows] = i
+            dist[rows] = gaps[np.arange(rows.size), i]
+        return index, dist
+
     def query(xs) -> tuple[np.ndarray, np.ndarray]:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if xs.ndim != 2 or xs.shape[1] != d:
             raise ValueError(f"need rows of length {d}, got shape {xs.shape}")
+        if math.isinf(p):
+            return chebyshev(xs)
         n = xs.shape[0]
         rows = max(1, min(n, block_rows))
         index = np.empty(n, dtype=np.intp)
@@ -86,11 +115,7 @@ def _nearest_to(space: LpSpace, centers):
             x = xs[lo : lo + rows]
             r = x.shape[0]
             i = index[lo : lo + r]
-            if math.isinf(p):
-                block = cdist(x, centers, metric="chebyshev")
-                i[:] = block.argmin(axis=1)
-                dist[lo : lo + r] = block[np.arange(r), i]
-            elif p == 2.0:
+            if p == 2.0:
                 score = np.matmul(x, coords, out=buf[: r * m].reshape(r, m))
                 score *= -2.0
                 score += sq
@@ -127,9 +152,15 @@ def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
     directly from x - c, so the cancellation in the score never reaches a
     margin. For other finite p a block holds every term |x_k - c_k|^p; the
     power sums over k are added in coordinate order and compared, and the
-    root is taken once per row. For p = inf the block goes through cdist's
-    Chebyshev distance. The per-cover constants are built once per call;
-    the adversarial ascent builds them once per cover and reuses them.
+    root is taken once per row. For p = inf a k-d tree of the centers
+    (cKDTree) returns each row's two nearest; their distances are maxima of
+    exact |x_k - c_k|, the bits cdist gives. Rows whose two are not strictly
+    ordered (ties, duplicate centers), rows with a NaN or inf, and every row
+    when a center is not finite go through a brute-force block instead:
+    max_k |x_k - c_k| for every center, then the lowest index of the least,
+    so that a NaN propagates to the distance. The per-cover constants are
+    built once per call; the adversarial ascent builds them once per cover
+    and reuses them.
     """
     return _nearest_to(space, centers)(xs)
 

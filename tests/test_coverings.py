@@ -269,6 +269,13 @@ def test_iterate_guards():
         iterate_cover(cov, 0)
 
 
+@pytest.mark.parametrize("m", [math.inf, math.nan, -math.inf, 1.5])
+def test_iterate_rejects_non_integral_m_with_its_own_error(m):
+    cov, _ = axis_cover(2)
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        iterate_cover(cov, m)
+
+
 def test_iterate_dedup():
     space = LpSpace(1, 2.0)
     cov = BallCovering(space, [[0.0], [0.0]], 0.5, True, "dup")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from ballcover.coverings import (
@@ -149,6 +150,88 @@ def test_nearest_shape_errors():
         nearest(LpSpace(2, 2.0), [[0.0, 0.0]], [[0.0, 0.0, 0.0]])
 
 
+def _chebyshev_row_by_row(xs, centers):
+    # every |x_k - c_k|, its max over k, and the lowest index of the least
+    index = np.empty(xs.shape[0], dtype=np.intp)
+    dist = np.empty(xs.shape[0])
+    for r, x in enumerate(xs):
+        gaps = np.abs(x - centers).max(axis=1)
+        index[r] = gaps.argmin()
+        dist[r] = gaps[index[r]]
+    return index, dist
+
+
+def _half_vertices(d):
+    return 0.5 * (((np.arange(1 << d)[:, None] >> np.arange(d)[None, :]) & 1) * 2.0 - 1.0)
+
+
+def _tree_misses_lowest(xs, centers, lowest):
+    # rows whose lowest nearest index is not among the tree's own two answers
+    _, pair = cKDTree(centers).query(xs, k=2, p=np.inf)
+    return (pair != lowest[:, None]).all(axis=1)
+
+
+def _assert_chebyshev_bits(xs, centers):
+    space = LpSpace(centers.shape[1], math.inf)
+    index, dist = nearest(space, xs, centers)
+    ref_index, ref_dist = _chebyshev_row_by_row(xs, centers)
+    np.testing.assert_array_equal(index, ref_index)
+    assert dist.tobytes() == ref_dist.tobytes()
+    for k in range(0, xs.shape[0], 7):
+        i, r = nearest(space, xs[k], centers)
+        assert (i[0], r[0]) == (index[k], dist[k])
+    return ref_index
+
+
+def test_chebyshev_nearest_is_brute_force_bits_on_the_vertex_lattice():
+    d = 12
+    centers = _half_vertices(d)
+    rng = np.random.default_rng(75)
+    xs = rng.uniform(-1.0, 1.0, size=(600, d))
+    # a zero coordinate ties the two half-vertices that differ only there
+    for r in range(200):
+        xs[r, rng.choice(d, 1 + r % 6, replace=False)] = 0.0
+    xs[200] = 0.0  # all 4096 centers at distance 1/2
+    lowest = _assert_chebyshev_bits(xs, centers)
+    assert _tree_misses_lowest(xs[:201], centers, lowest[:201]).any()
+
+
+def test_chebyshev_nearest_is_brute_force_bits_with_duplicate_centers():
+    rng = np.random.default_rng(76)
+    d, m = 8, 200
+    centers = rng.standard_normal((m, d))
+    centers[[9, 21, 33]] = centers[2]
+    centers[[150, 151, 199]] = centers[5]
+    xs = rng.standard_normal((1500, d))
+    xs[:20] = centers[2] + 1e-3 * rng.standard_normal((20, d))
+    xs[20:40] = centers[5] + 1e-3 * rng.standard_normal((20, d))
+    lowest = _assert_chebyshev_bits(xs, centers)
+    np.testing.assert_array_equal(lowest[:40], np.repeat([2, 5], 20))
+    assert _tree_misses_lowest(xs[:40], centers, lowest[:40]).any()
+
+
+def test_chebyshev_nearest_single_center():
+    rng = np.random.default_rng(77)
+    centers = rng.standard_normal((1, 5))
+    xs = rng.standard_normal((40, 5))
+    xs[0] = centers[0]  # distance 0, below the tree's missing second answer
+    assert (_assert_chebyshev_bits(xs, centers) == 0).all()
+
+
+def test_chebyshev_nearest_propagates_nan_and_inf():
+    # cdist's Chebyshev distance skips a NaN coordinate; nearest must not
+    space = LpSpace(2, math.inf)
+    centers = [[0.0, 0.0], [1.0, 1.0]]
+    index, dist = nearest(space, [[np.nan, 0.0], [np.inf, 0.0], [0.25, 0.5]], centers)
+    assert math.isnan(dist[0])
+    assert dist[1] == math.inf
+    assert (index[2], dist[2]) == (0, 0.5)
+    # a non-finite center sends every row through the brute force
+    index, dist = nearest(space, [[0.25, 0.5], [2.0, 2.0]], [[np.nan, 0.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(index, [0, 0])
+    assert np.isnan(dist).all()
+
+
 def test_check_point_simplex_origin():
     cov, _ = simplex_cover_unit(2)
     assert cov.radius - min_distances(cov, [[0.0, 0.0]])[0] == pytest.approx(0.75, rel=1e-15)
@@ -209,7 +292,7 @@ def test_certify_sampling_detects_broken_cover():
 
 
 @pytest.mark.parametrize("closed", [True, False])
-@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("p", [2.0, 4.0, math.inf])
 def test_certify_sampling_fails_on_nan_distance(closed, p):
     # BallCovering rejects non-finite centers; a NaN that reaches the kernel
     # anyway must fail the verdict, not pass it
