@@ -10,7 +10,7 @@ import warnings
 from dataclasses import astuple, dataclass, fields
 
 from .coverings import axis_cover, basis_cover
-from .spaces import LpSpace
+from .spaces import LpSpace, smoothness_majorant_for, solve_step_size
 
 __all__ = [
     "CONSTANTS",
@@ -83,16 +83,13 @@ def ndmux_upper(d: int, mu: float) -> float:
 def mu_from_delta(space: LpSpace, delta: float) -> float:
     """Invert the radius defect delta = mu a(mu) / 2 of the smooth-space cover.
 
-    For p >= 2 (majorant (p/2) u^2, step mu/(8p)): mu = 4 sqrt(p delta). For
-    1 < p < 2 (majorant u^p / p): delta = c(p) mu^p' with
-    c(p) = (p / 2^(p+2))^(1/(p-1)) / 2 and p' = p/(p-1), inverted exactly.
+    a(mu) = a(1) mu^(1/(q-1)) is solve_step_size for the space's own majorant
+    omega(u) = gamma u^q, so mu = (2 delta / a(1))^((q-1)/q). The cap a <= 1
+    does not bind at mu = 1, since gamma 2^(q+2) > 1 for both majorants.
     """
-    p = space.p
-    if p >= 2.0:
-        return 4.0 * math.sqrt(p * delta)
-    pprime = p / (p - 1.0)
-    cp = 0.5 * (p / 2.0 ** (p + 2.0)) ** (1.0 / (p - 1.0))
-    return (delta / cp) ** (1.0 / pprime)
+    majorant = smoothness_majorant_for(space)
+    q = majorant.q_exp
+    return (2.0 * delta / solve_step_size(majorant, 1.0)) ** ((q - 1.0) / q)
 
 
 @dataclass(frozen=True)

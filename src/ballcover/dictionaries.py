@@ -159,14 +159,11 @@ class _Admission:
 
 # candidates drawn and scored together by the greedy build
 GREEDY_BLOCK = 256
+# consecutive rejections after which the greedy build stops
+SATURATION_TRIALS = 2000
 
 
-def greedy_maximal_dictionary(
-    space: LpSpace,
-    mu: float,
-    seed: int,
-    saturation_trials: int = 2000,
-) -> Dictionary:
+def greedy_maximal_dictionary(space: LpSpace, mu: float, seed: int) -> Dictionary:
     """Grow a dictionary by admitting random sphere candidates until saturated.
 
     A candidate x is admitted when every incumbent g keeps both |F_x(g)| and
@@ -176,33 +173,31 @@ def greedy_maximal_dictionary(
     and admitted in draw order: a block is scored against the incumbents
     at once, and each admission folds its own scores into the rest of the
     block, so every candidate meets the same test against every vector
-    admitted before it. Construction stops after saturation_trials
+    admitted before it. Construction stops after SATURATION_TRIALS
     consecutive rejections - a stopping heuristic, not a maximality proof;
     certify_maximality probes the result empirically. trials_used counts
     the candidates examined, not the rest of the last block.
     """
     core = _Admission(space, mu)
-    if saturation_trials < 1:
-        raise ValueError("saturation_trials must be positive")
     rng = np.random.default_rng(seed)
     trials = 0
     rejected = 0
-    while rejected < saturation_trials:
+    while rejected < SATURATION_TRIALS:
         xs = sphere_from_rng(space, GREEDY_BLOCK, rng)
         fxs = core.functionals(xs)
         score = core.one_sided(fxs)
         if not core.euclidean:
             np.maximum(score, core.reverse(xs), out=score)
         j = 0
-        while rejected < saturation_trials:
+        while rejected < SATURATION_TRIALS:
             # jump to the next candidate that passes; the ones skipped are rejections
             passing = np.flatnonzero(score[j:] <= mu)
             skip = int(passing[0]) if passing.size else GREEDY_BLOCK - j
-            skip = min(skip, saturation_trials - rejected)
+            skip = min(skip, SATURATION_TRIALS - rejected)
             trials += skip
             rejected += skip
             j += skip
-            if j == GREEDY_BLOCK or rejected == saturation_trials:
+            if j == GREEDY_BLOCK or rejected == SATURATION_TRIALS:
                 break
             x, fx = xs[j], fxs[j]
             j += 1

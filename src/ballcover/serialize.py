@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from operator import countOf, itemgetter
 
 import numpy as np
@@ -26,7 +27,6 @@ import numpy as np
 from .coverings import BallCovering
 from .dictionaries import Dictionary
 from .spaces import LpSpace, _real
-from .verify import CoverageReport
 
 __all__ = [
     "space_to_dict",
@@ -113,17 +113,12 @@ def dictionary_from_dict(obj) -> Dictionary:
     )
 
 
-def report_to_dict(report: CoverageReport) -> dict:
-    # no elapsed time: artefacts must be byte-identical across runs
-    return {
-        "samples_tested": report.samples_tested,
-        "worst_margin": report.worst_margin,
-        "failure_witness": None
-        if report.failure_witness is None
-        else report.failure_witness.tolist(),
-        "seed": report.seed,
-        "passed": report.passed,
-    }
+def report_to_dict(report) -> dict:
+    """A verify.CoverageReport's fields, the witness as a list; no timing, so artefacts are byte-identical."""
+    out = asdict(report)
+    if report.failure_witness is not None:
+        out["failure_witness"] = report.failure_witness.tolist()
+    return out
 
 
 def dumps(obj) -> str:

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -28,7 +27,6 @@ __all__ = [
     "certify_sampling",
     "adversarial_search",
     "uncovered_witness",
-    "affine_hull_distance",
     "linf_vertex_check",
     "certify_maximality",
     "harden_dictionary",
@@ -160,9 +158,12 @@ def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
     max_k |x_k - c_k| for every center, then the lowest index of the least,
     so that a NaN propagates to the distance. The per-cover constants are
     built once per call; the adversarial ascent builds them once per cover
-    and reuses them.
+    and reuses them. A term or score too large for a float is inf, and so is
+    the distance, without a warning.
     """
-    return _nearest_to(space, centers)(xs)
+    # once per call, not per block: each errstate costs microseconds
+    with np.errstate(over="ignore"):
+        return _nearest_to(space, centers)(xs)
 
 
 def covered(cov: BallCovering, margins, tol: float = PASS_TOL):
@@ -277,21 +278,6 @@ def adversarial_search(
     return pts[i].copy(), float(cov.radius - vals[i])
 
 
-def affine_hull_distance(point, centers) -> float:
-    """Euclidean distance from point to the affine hull of the given centers."""
-    c = np.atleast_2d(np.asarray(centers, dtype=float))
-    v = np.asarray(point, dtype=float) - c[0]
-    dirs = c[1:] - c[0]
-    if dirs.shape[0] == 0:
-        return float(np.linalg.norm(v))
-    _, s, vt = np.linalg.svd(dirs, full_matrices=False)
-    rank = int(np.sum(s > max(dirs.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)))
-    if rank == 0:
-        return float(np.linalg.norm(v))
-    basis = vt[:rank]
-    return float(np.linalg.norm(v - basis.T @ (basis @ v)))
-
-
 def uncovered_witness(space: LpSpace, centers) -> np.ndarray:
     """Unit vector at lp distance >= 1 from each of exactly d given centers.
 
@@ -300,7 +286,11 @@ def uncovered_witness(space: LpSpace, centers) -> np.ndarray:
     (z_i = sign(w_i) |w_i|^(q-1), so ||z||_p = 1 and w(z) = 1), and picks the
     sign of z with |w(z - c_1)| >= 1. Every center c then satisfies
     ||z - c|| >= |w(z - c)| >= 1, as does the centers' whole affine hull.
-    The point is checked against every center before it is returned; when
+    One SVD of the d - 1 differences gives w: their right singular vectors
+    past the rank (singular values above max(shape) * eps times the largest)
+    span the annihilator, never empty in R^d. For p = 2, z - c_1 projected
+    onto them gives the distance from z to the hull. The point is checked
+    against every center (and for p = 2 the hull) before it is returned; when
     rounding defeats the construction (centers many orders of magnitude
     apart) the check refuses it with ValueError.
     """
@@ -312,13 +302,13 @@ def uncovered_witness(space: LpSpace, centers) -> np.ndarray:
     dirs = c[1:] - c[0]
     if dirs.shape[0] == 0:
         annihilator = np.identity(space.d)
+    elif not np.isfinite(dirs).all():
+        raise ValueError("array must not contain infs or NaNs")
     else:
-        annihilator = null_space(dirs)
-        if annihilator.shape[1] == 0:
-            raise ValueError("no annihilator direction found")
+        _, s, vt = np.linalg.svd(dirs)
+        annihilator = vt[np.count_nonzero(s > max(dirs.shape) * np.finfo(float).eps * s[0]) :]
     q = space.q
-    w = annihilator[:, 0]
-    w = w / np.linalg.norm(w, ord=q)
+    w = annihilator[0] / np.linalg.norm(annihilator[0], ord=q)
     candidate = np.sign(w) * np.abs(w) ** (q - 1.0)  # unit in lp since (q-1) p = q
     offset = float(w @ c[0])
     for z in (candidate, -candidate):
@@ -331,7 +321,7 @@ def uncovered_witness(space: LpSpace, centers) -> np.ndarray:
     closest = float(nearest(space, z, c)[1][0])
     if closest < 1.0 - 1e-9:
         raise ValueError(f"witness construction failed: nearest center at distance {closest}")
-    if space.p == 2.0 and affine_hull_distance(z, c) < 1.0 - 1e-9:
+    if space.p == 2.0 and np.linalg.norm(annihilator @ (z - c[0])) < 1.0 - 1e-9:
         raise ValueError("witness sits too close to the affine hull")
     return z
 

@@ -42,7 +42,6 @@ from ballcover.verify import (
     linf_vertex_check,
     simplex_dichotomy_check,
     uncovered_witness,
-    affine_hull_distance,
 )
 
 SEED = 20240811
@@ -299,7 +298,12 @@ def test_uncovered_witness_grid():
                 assert abs(norm(space, z) - 1.0) <= 1e-12
                 assert float(np.min(norms(space, z[None, :] - centers))) >= 1.0 - 1e-9
                 if p == 2.0:
-                    assert affine_hull_distance(z, centers) >= 1.0 - 1e-9
+                    # distance to the affine hull: the least-squares residual
+                    # of z - c_0 against the differences
+                    dirs = (centers[1:] - centers[0]).T
+                    v = z - centers[0]
+                    residual = v - dirs @ np.linalg.lstsq(dirs, v, rcond=None)[0]
+                    assert np.linalg.norm(residual) >= 1.0 - 1e-9
     _line("uncovered witness: 200 center sets per (d, p) in {2,4,8} x {2,3,1.5}")
 
 

@@ -335,17 +335,57 @@ def test_bounds_table_out_writes_json(tmp_path, capsys):
 
 
 def test_bounds_table_golden_bytes(tmp_path, capsys):
-    # pins every bit of the default d = 16, p = 2 table, as CSV and as JSON
-    argv = ["bounds", "table", "--d", "16", "--p", "2", "--delta-grid", "0.005:0.2:20"]
-    csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
-    assert main([*argv, "--csv", str(csv_path)]) == 0
-    assert capsys.readouterr().out == f"wrote {csv_path} (constants uncalibrated: C1=1.0 C2=1.0)\n"
-    assert main([*argv, "--out", str(json_path)]) == 0
-    digest = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv_path, json_path)}
-    assert digest == {
-        "t.csv": "595c4cc2a6b541ebf1b888388f1d4a07962b8a3d080b57eb4afe47398dc22380",
-        "t.json": "f10770ebf34dfdf5983f68290eb20294db6fbcdf64f978a998485bf754d24b8b",
+    # pins every bit of the d = 16 table at p = 2 (the default grid), p = 4
+    # and p = 1.5 (both regimes of the bound and of mu_from_delta), as CSV and
+    # as JSON
+    pinned = {
+        "2": (
+            "595c4cc2a6b541ebf1b888388f1d4a07962b8a3d080b57eb4afe47398dc22380",
+            "f10770ebf34dfdf5983f68290eb20294db6fbcdf64f978a998485bf754d24b8b",
+        ),
+        "4": (
+            "a64bafe190753de2b8ee38459e1d9185c4552b2ab638fb473870fb89283ee954",
+            "b241fc135e6ae2d0600abbf9288738e5e639e9a42fbcbb926128ac8036bfffa7",
+        ),
+        "1.5": (
+            "4934ff3124448b2b9f8b58ea15a6600e855c13ddd4434f5c3a5a7cf99b00bc0d",
+            "b059ccf445e09c53164a78e99d5e50933da7822e4761f82c31590ea0be40c5a0",
+        ),
     }
+    for p, digests in pinned.items():
+        argv = ["bounds", "table", "--d", "16", "--p", p, "--delta-grid", "0.005:0.2:20"]
+        csv_path, json_path = tmp_path / f"t{p}.csv", tmp_path / f"t{p}.json"
+        assert main([*argv, "--csv", str(csv_path)]) == 0
+        assert capsys.readouterr().out == f"wrote {csv_path} (constants uncalibrated: C1=1.0 C2=1.0)\n"
+        assert main([*argv, "--out", str(json_path)]) == 0
+        assert capsys.readouterr().out == f"wrote {json_path}\n"
+        assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv_path, json_path)) == digests
+
+
+@pytest.mark.parametrize(
+    "d, p, centers, digest",
+    [
+        (
+            4,
+            "2",
+            [[0.1, 0.2, 0.3, 0.4], [-0.5, 0.1, 0.0, 0.2], [0.0, 0.0, 0.9, -0.1], [0.3, -0.3, 0.2, 0.0]],
+            "017373d83597694ea1d1e5d347d61609e2d10d399ada5c56f953715ee3213324",
+        ),
+        (
+            3,
+            "3",
+            [[0.1, 0.2, 0.3], [-0.5, 0.1, 0.0], [0.0, 0.0, 0.9]],
+            "eec2c210da8a1a968361f6163ff9750e76d3e54084bd5c807b31c0de4dcc3e7b",
+        ),
+    ],
+)
+def test_witness_golden_bytes(tmp_path, d, p, centers, digest):
+    # pins every bit of the witness artefact, at p = 2 (which also runs the
+    # affine-hull check) and at p = 3
+    centers_path, out = tmp_path / "c.json", tmp_path / "w.json"
+    centers_path.write_text(json.dumps({"centers": centers}))
+    assert main(["witness", "--d", str(d), "--p", p, "--centers", str(centers_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("option", [["--c1", "1.5"], ["--c2", "2"]])

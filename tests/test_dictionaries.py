@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballcover import dictionaries
 from ballcover.dictionaries import (
     DUPLICATE_TOL,
     GREEDY_BLOCK,
@@ -235,9 +236,10 @@ def _replay_greedy(space, mu, seed, saturation):
     [(4, 2.0, 0.5, 40), (6, 2.0, 0.3, 700), (4, 4.0, 0.5, 40), (5, 4.0, 0.5, 700)],
 )
 @pytest.mark.parametrize("seed", [0, 5])
-def test_greedy_replays_one_at_a_time(d, p, mu, saturation, seed):
+def test_greedy_replays_one_at_a_time(monkeypatch, d, p, mu, saturation, seed):
     space = LpSpace(d, p)
-    got = greedy_maximal_dictionary(space, mu, seed, saturation)
+    monkeypatch.setattr(dictionaries, "SATURATION_TRIALS", saturation)
+    got = greedy_maximal_dictionary(space, mu, seed)
     vecs, trials = _replay_greedy(space, mu, seed, saturation)
     assert np.array_equal(got.vectors, vecs)
     assert got.trials_used == trials

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -86,6 +87,20 @@ def test_report_dict_excludes_elapsed_by_default():
     assert "elapsed" not in out
     assert out["passed"] is True
     assert out["seed"] == 3
+
+
+def test_report_dict_of_a_failing_report():
+    cov, _ = axis_cover(2)
+    report = certify_sampling(replace(cov, radius=0.5), 100, 100, seed=3)
+    out = report_to_dict(report)
+    assert out == {
+        "samples_tested": 200,
+        "worst_margin": report.worst_margin,
+        "failure_witness": report.failure_witness.tolist(),
+        "seed": 3,
+        "passed": False,
+    }
+    assert type(out["failure_witness"][0]) is float
 
 
 def test_dumps_deterministic_and_sorted():

@@ -30,7 +30,6 @@ from ballcover.verify import (
     ADVERSARIAL_TOL,
     _ascend,
     adversarial_search,
-    affine_hull_distance,
     certify_maximality,
     PASS_TOL,
     _norm_gradient,
@@ -232,6 +231,22 @@ def test_chebyshev_nearest_propagates_nan_and_inf():
     assert np.isnan(dist).all()
 
 
+@pytest.mark.parametrize("p", [2.0, 3.5, 4.0, math.inf])
+def test_nearest_overflow_is_inf_without_a_warning(p):
+    # x - c, the p = 2 score and the power terms all overflow here; under
+    # the suite's warnings-as-errors filter a warning would raise
+    index, dist = nearest(LpSpace(5, p), [[1e308] * 5], [[-1e308] * 5])
+    assert index.tolist() == [0] and dist.tolist() == [math.inf]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.5, 4.0, math.inf])
+def test_certify_sampling_fails_on_a_far_center_without_raising(p):
+    cov = BallCovering(LpSpace(5, p), [[1e200] * 5], 0.9, closed=True, provenance="far")
+    report = certify_sampling(cov, 50, 50, seed=3)
+    assert report.passed is False
+    assert report.failure_witness is not None
+
+
 def test_check_point_simplex_origin():
     cov, _ = simplex_cover_unit(2)
     assert cov.radius - min_distances(cov, [[0.0, 0.0]])[0] == pytest.approx(0.75, rel=1e-15)
@@ -420,7 +435,18 @@ def test_witness_affine_hull_distance():
     for _ in range(20):
         centers = ball_from_rng(space, 4, rng)
         z = uncovered_witness(space, centers)
-        assert affine_hull_distance(z, centers) >= 1.0 - 1e-9
+        # the least-squares residual of z - c_0 against the differences
+        dirs = (centers[1:] - centers[0]).T
+        v = z - centers[0]
+        residual = v - dirs @ np.linalg.lstsq(dirs, v, rcond=None)[0]
+        assert np.linalg.norm(residual) >= 1.0 - 1e-9
+
+
+def test_witness_single_center():
+    # d = 1: no differences, so every direction annihilates them and the
+    # witness is the unit point on the far side of the center
+    z = uncovered_witness(LpSpace(1, 2.0), [[0.3]])
+    assert z.tolist() == [-1.0]
 
 
 def test_witness_identical_centers():
@@ -440,11 +466,9 @@ def test_witness_errors():
     # fails the construction's own distance check
     with pytest.raises(ValueError, match="witness construction failed"):
         uncovered_witness(LpSpace(2, 2.0), [[1e17, 1e17], [0.0, 0.5]])
-
-
-def test_affine_hull_distance_point():
-    # hull of a single center is the point itself
-    assert affine_hull_distance([0.0, 1.0], [[0.0, 0.0]]) == pytest.approx(1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            uncovered_witness(LpSpace(2, 2.0), [[bad, 0.0], [0.0, 0.5]])
 
 
 def test_simplex_dichotomy_samples():
