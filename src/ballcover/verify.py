@@ -55,87 +55,75 @@ def _coordinate_sum(terms: np.ndarray) -> np.ndarray:
 def _nearest_to(space: LpSpace, centers):
     """The nearest-center query of nearest(), with the per-cover constants
     (the k-d tree for p = inf, the transposed centers, |c|^2 for p = 2, a
-    block buffer) built once."""
+    block buffer) built once, and one block function for every p."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     d = space.d
     if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != d:
         raise ValueError(f"need (m >= 1, {d}) centers, got {centers.shape}")
     m, p = centers.shape[0], space.p
-    if math.isinf(p):
-        # every |x_k - c_k| of the rows the tree cannot rank; with a
-        # non-finite center, which cKDTree refuses, that is every row
-        width = d * m
-        tree = cKDTree(centers) if np.isfinite(centers).all() else None
-    else:
-        coords = np.ascontiguousarray(centers.T)
-        if p == 2.0:
-            width = m + d  # scores, then the differences to the selected centers
-            sq = np.einsum("ij,ij->i", centers, centers)
-        else:
-            width = d * m  # one term per coordinate and center
+    inf_p = math.isinf(p)
+    coords = np.ascontiguousarray(centers.T)
+    sq = np.einsum("ij,ij->i", centers, centers) if p == 2.0 else None
+    # cKDTree refuses a non-finite center; without a tree every row goes through the blocks
+    tree = cKDTree(centers) if inf_p and np.isfinite(centers).all() else None
+    # per row: for p = 2 the scores, then the differences to the selected
+    # centers; else one term |x_k - c_k| per coordinate and center
+    width = m + d if p == 2.0 else d * m
     block_rows = max(1, _BLOCK_ENTRIES // width)
-    if math.isfinite(p):
-        buf = np.empty(block_rows * (m if p == 2.0 else width))  # scores for p = 2, else the terms
+    buf = np.empty(block_rows * (m if p == 2.0 else width))
 
-    def chebyshev(xs) -> tuple[np.ndarray, np.ndarray]:
-        n = xs.shape[0]
-        index = np.empty(n, dtype=np.intp)
-        dist = np.empty(n)
-        exact = np.zeros(n, dtype=bool) if tree is None else np.isfinite(xs).all(axis=1)
-        if exact.any():
-            two, pair = tree.query(xs if exact.all() else xs[exact], k=2, p=np.inf)
-            dist[exact] = two[:, 0]
-            index[exact] = pair[:, 0]
-            # a Chebyshev distance is a max of exact |x_k - c_k|, so the
-            # tree's are cdist's bits; only a tie leaves the index open
-            exact[exact] = two[:, 0] < two[:, 1]
-        slow = np.flatnonzero(~exact)
-        for lo in range(0, slow.size, block_rows):
-            rows = slow[lo : lo + block_rows]
-            diff = xs[rows, None, :] - centers
-            gaps = np.abs(diff, out=diff).max(axis=2)  # NaN propagates, unlike in cdist
-            i = gaps.argmin(axis=1)
-            index[rows] = i
-            dist[rows] = gaps[np.arange(rows.size), i]
-        return index, dist
+    def block(x) -> tuple[np.ndarray, np.ndarray]:
+        r = x.shape[0]
+        if p == 2.0:
+            score = np.matmul(x, coords, out=buf[: r * m].reshape(r, m))
+            score *= -2.0
+            score += sq
+            i = score.argmin(axis=1)
+            # coordinates along axis 0, the axis _coordinate_sum adds along
+            diff = coords.take(i, axis=1)
+            diff -= x.T
+            diff *= diff
+            return i, np.sqrt(_coordinate_sum(diff))
+        # a contiguous block, so that power runs numpy's contiguous loop at every size
+        terms = buf[: d * r * m].reshape(d, r, m)
+        np.subtract(x.T[:, :, None], coords[:, None, :], out=terms)
+        if p == 4.0:
+            np.square(terms, out=terms)
+            np.square(terms, out=terms)
+        else:
+            np.abs(terms, out=terms)
+            if not inf_p:
+                np.power(terms, p, out=terms)
+        # the max propagates a NaN, unlike cdist's Chebyshev distance
+        sums = terms.max(axis=0) if inf_p else _coordinate_sum(terms)
+        i = sums.argmin(axis=1)
+        least = sums[np.arange(r), i]
+        return i, least if inf_p else least ** (1.0 / p)
 
     def query(xs) -> tuple[np.ndarray, np.ndarray]:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if xs.ndim != 2 or xs.shape[1] != d:
             raise ValueError(f"need rows of length {d}, got shape {xs.shape}")
-        if math.isinf(p):
-            return chebyshev(xs)
         n = xs.shape[0]
-        rows = max(1, min(n, block_rows))
         index = np.empty(n, dtype=np.intp)
         dist = np.empty(n)
-        for lo in range(0, n, rows):
-            x = xs[lo : lo + rows]
-            r = x.shape[0]
-            i = index[lo : lo + r]
-            if p == 2.0:
-                score = np.matmul(x, coords, out=buf[: r * m].reshape(r, m))
-                score *= -2.0
-                score += sq
-                i[:] = score.argmin(axis=1)
-                # coordinates along axis 0, the axis _coordinate_sum adds along
-                diff = coords.take(i, axis=1)
-                diff -= x.T
-                diff *= diff
-                dist[lo : lo + r] = np.sqrt(_coordinate_sum(diff))
-            else:
-                # a contiguous block, so that power runs numpy's contiguous loop at every size
-                terms = buf[: d * r * m].reshape(d, r, m)
-                np.subtract(x.T[:, :, None], coords[:, None, :], out=terms)
-                if p == 4.0:
-                    np.square(terms, out=terms)
-                    np.square(terms, out=terms)
-                else:
-                    np.abs(terms, out=terms)
-                    np.power(terms, p, out=terms)
-                sums = _coordinate_sum(terms)
-                i[:] = sums.argmin(axis=1)
-                dist[lo : lo + r] = sums[np.arange(r), i] ** (1.0 / p)
+        # contiguous slices of all rows, so that the ascent's many small
+        # queries copy nothing, or index blocks of the rows the tree cannot rank
+        if tree is None:
+            blocks = [slice(lo, lo + block_rows) for lo in range(0, n, block_rows)]
+        else:
+            exact = np.isfinite(xs).all(axis=1)
+            if exact.any():
+                two, pair = tree.query(xs if exact.all() else xs[exact], k=2, p=np.inf)
+                dist[exact] = two[:, 0]
+                index[exact] = pair[:, 0]
+                # a Chebyshev distance is a max of exact |x_k - c_k|, so the
+                # tree's are the blocks' bits; only a tie leaves the index open
+                exact[exact] = two[:, 0] < two[:, 1]
+            slow = np.flatnonzero(~exact)
+            blocks = [slow[lo : lo + block_rows] for lo in range(0, slow.size, block_rows)]
+        for rows in blocks:
+            index[rows], dist[rows] = block(xs[rows])
         return index, dist
 
     return query
@@ -148,18 +136,17 @@ def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
     temporaries together fit in the L2 cache. For p = 2 one GEMM score
     |c|^2 - 2 x.c selects the center, and the distance is then computed
     directly from x - c, so the cancellation in the score never reaches a
-    margin. For other finite p a block holds every term |x_k - c_k|^p; the
-    power sums over k are added in coordinate order and compared, and the
-    root is taken once per row. For p = inf a k-d tree of the centers
-    (cKDTree) returns each row's two nearest; their distances are maxima of
-    exact |x_k - c_k|, the bits cdist gives. Rows whose two are not strictly
-    ordered (ties, duplicate centers), rows with a NaN or inf, and every row
-    when a center is not finite go through a brute-force block instead:
-    max_k |x_k - c_k| for every center, then the lowest index of the least,
-    so that a NaN propagates to the distance. The per-cover constants are
-    built once per call; the adversarial ascent builds them once per cover
-    and reuses them. A term or score too large for a float is inf, and so is
-    the distance, without a warning.
+    margin. For every other p a block holds every term |x_k - c_k|: for
+    finite p their powers p are added in coordinate order and compared, and
+    the root is taken once per row; for p = inf their max is the distance,
+    so that a NaN propagates (cdist would drop it). For p = inf a k-d tree
+    of the centers (cKDTree) first returns each row's two nearest; their
+    distances are maxima of exact |x_k - c_k|, the blocks' bits. Only rows
+    whose two are not strictly ordered (ties, duplicate centers), rows with
+    a NaN or inf, and every row when a center is not finite go through the
+    blocks. The per-cover constants are built once per call, and once per
+    cover in the adversarial ascent. A term or score too large for a float
+    is inf, and so is the distance, without a warning.
     """
     # once per call, not per block: each errstate costs microseconds
     with np.errstate(over="ignore"):
@@ -243,20 +230,25 @@ def _ascend(cov: BallCovering, restarts: int, steps: int, seeds):
     # seed's rows come out as from an ascent of their own; only the p = 2
     # selection score is a BLAS product, whose rounding may depend on the
     # rows beside it, and that can only change the pick within a tie.
+    if restarts < 1 or steps < 1:
+        raise ValueError("restarts and steps must be positive")
     space = cov.space
     query = _nearest_to(space, cov.centers)
     x = np.vstack([sphere_from_rng(space, restarts, np.random.default_rng(s)) for s in seeds])
     best_pts = x.copy()
-    index, best_vals = query(x)
-    for step in range(1, steps + 1):
-        grad = _norm_gradient(space, x - cov.centers[index])
-        grad *= 0.1 / math.sqrt(step)
-        x += grad
-        x /= norms(space, x)[:, None]
-        index, vals = query(x)
-        improved = vals > best_vals
-        np.copyto(best_vals, vals, where=improved)
-        np.copyto(best_pts, x, where=improved[:, None])
+    # a far center overflows a distance to inf and the gradient to NaN (inf / inf),
+    # and a NaN distance never improves; once per call, as errstate costs microseconds
+    with np.errstate(over="ignore", invalid="ignore"):
+        index, best_vals = query(x)
+        for step in range(1, steps + 1):
+            grad = _norm_gradient(space, x - cov.centers[index])
+            grad *= 0.1 / math.sqrt(step)
+            x += grad
+            x /= norms(space, x)[:, None]
+            index, vals = query(x)
+            improved = vals > best_vals
+            np.copyto(best_vals, vals, where=improved)
+            np.copyto(best_pts, x, where=improved[:, None])
     return best_pts, best_vals
 
 
@@ -269,10 +261,9 @@ def adversarial_search(
     found and its signed margin radius - distance. Step size 0.1/sqrt(step).
     Each step makes one nearest() query: its distances score the new points
     and its indices give the centers the next step moves away from;
-    nearest-center ties break to the lowest index.
+    nearest-center ties break to the lowest index. A center too far for a
+    finite distance gives margin -inf, which fails, without a warning.
     """
-    if restarts < 1 or steps < 1:
-        raise ValueError("restarts and steps must be positive")
     pts, vals = _ascend(cov, restarts, steps, [seed])
     i = int(np.argmax(vals))
     return pts[i].copy(), float(cov.radius - vals[i])
@@ -449,8 +440,6 @@ def harden_dictionary(
     This gives the rounds and the dictionary of running every round alone.
     """
     core = _Admission(dictionary.space, mu, dictionary.vectors)
-    if restarts < 1 or steps < 1:
-        raise ValueError("restarts and steps must be positive")
     clean = 0
     round_index = 0
     while round_index < _HARDEN_MAX_ROUNDS:

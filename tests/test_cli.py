@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -385,6 +386,36 @@ def test_witness_golden_bytes(tmp_path, d, p, centers, digest):
     centers_path, out = tmp_path / "c.json", tmp_path / "w.json"
     centers_path.write_text(json.dumps({"centers": centers}))
     assert main(["witness", "--d", str(d), "--p", p, "--centers", str(centers_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _half_vertex_cover_file(path):
+    # the d = 4 half-vertex l_inf cover of the CI step; no construction builds one
+    centers = [[s / 2 for s in v] for v in itertools.product((-1, 1), repeat=4)]
+    blob = {"space": {"d": 4, "p": "inf"}, "centers": centers, "radius": 1.0, "closed": False}
+    path.write_text(json.dumps({**blob, "provenance": "half-vertices(d=4)"}))
+
+
+def _basis_cover_file(path):
+    argv = ["cover", "build", "--construction", "basis", "--d", "7", "--p", "4", "--iterate", "2"]
+    assert main([*argv, "--out", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "write_cover, digest",
+    [
+        (_half_vertex_cover_file, "eb360ad7981ebe616b7137cc088ced1b92fbfdfe7345d3895bab4c92dc243ce6"),
+        (_basis_cover_file, "ee28f4d64d41223cffd601d9eba62731cfa9173c2baef42e78d6b591b77f7e55"),
+    ],
+    ids=["linf-half-vertices", "l4-basis"],
+)
+def test_cover_verify_adversarial_golden_bytes(tmp_path, write_cover, digest):
+    # pins every bit of a sampled and ascended report at p = inf and at
+    # p = 4, neither of which calls BLAS
+    cover_path, out = tmp_path / "cover.json", tmp_path / "report.json"
+    write_cover(cover_path)
+    argv = ["cover", "verify", "--in", str(cover_path), "--samples", "4000"]
+    assert main([*argv, "--adversarial", "20", "--steps", "50", "--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -217,7 +217,9 @@ def test_chebyshev_nearest_single_center():
     assert (_assert_chebyshev_bits(xs, centers) == 0).all()
 
 
-def test_chebyshev_nearest_propagates_nan_and_inf():
+def test_chebyshev_nearest_propagates_nan_and_inf(monkeypatch):
+    import ballcover.verify as verify
+
     # cdist's Chebyshev distance skips a NaN coordinate; nearest must not
     space = LpSpace(2, math.inf)
     centers = [[0.0, 0.0], [1.0, 1.0]]
@@ -225,9 +227,19 @@ def test_chebyshev_nearest_propagates_nan_and_inf():
     assert math.isnan(dist[0])
     assert dist[1] == math.inf
     assert (index[2], dist[2]) == (0, 0.5)
-    # a non-finite center sends every row through the brute force
-    index, dist = nearest(space, [[0.25, 0.5], [2.0, 2.0]], [[np.nan, 0.0], [1.0, 1.0]])
-    np.testing.assert_array_equal(index, [0, 0])
+    # a non-finite center sends every row through the blocks: small ones
+    # here, so that three full blocks and a partial one run
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 1 << 6)
+    rng = np.random.default_rng(78)
+    centers = rng.standard_normal((4, 2))
+    centers[1, 0] = np.nan
+    block_rows = verify._BLOCK_ENTRIES // centers.size
+    xs = rng.standard_normal((3 * block_rows + 3, 2))
+    xs[5] = centers[2]  # a NaN distance wins over even a zero one
+    index, dist = nearest(space, xs, centers)
+    ref_index, ref_dist = _chebyshev_row_by_row(xs, centers)
+    np.testing.assert_array_equal(index, ref_index)
+    np.testing.assert_array_equal(dist, ref_dist)
     assert np.isnan(dist).all()
 
 
@@ -245,6 +257,17 @@ def test_certify_sampling_fails_on_a_far_center_without_raising(p):
     report = certify_sampling(cov, 50, 50, seed=3)
     assert report.passed is False
     assert report.failure_witness is not None
+
+
+@pytest.mark.parametrize("p", [2.0, 3.5, 4.0])
+def test_adversarial_search_fails_on_a_far_center_without_raising(p):
+    # the ascent's distances overflow to inf and its gradient to NaN; under
+    # the suite's warnings-as-errors filter a warning would raise
+    cov = BallCovering(LpSpace(5, p), [[1e200] * 5], 0.9, closed=True, provenance="far")
+    point, margin = adversarial_search(cov, 3, 5, 0)
+    assert margin == -math.inf
+    assert not covered(cov, margin, ADVERSARIAL_TOL)
+    assert point.shape == (5,)
 
 
 def test_check_point_simplex_origin():
