@@ -179,12 +179,19 @@ def _cmd_cover_build(args):
     return covering_to_dict(iterate_cover(build(args, LpSpace(args.d, args.p)), args.iterate)), True
 
 
+def _margin_text(margin: float):
+    # JSON has no inf or NaN: a non-finite margin (a center too far away for
+    # a finite distance) is written "-inf", "inf" or "nan", as p is written "inf"
+    return margin if math.isfinite(margin) else str(margin)
+
+
 def _cmd_cover_verify(args):
     with open(args.infile) as fh:
         cov = covering_from_dict(json.load(fh))
     n_sphere = args.samples // 2
     report = certify_sampling(cov, args.samples - n_sphere, n_sphere, args.seed)
     payload = report_to_dict(report)
+    payload["worst_margin"] = _margin_text(report.worst_margin)
     payload["provenance"] = cov.provenance
     passed = report.passed
     if args.adversarial > 0:
@@ -194,7 +201,7 @@ def _cmd_cover_verify(args):
             "restarts": args.adversarial,
             "steps": args.steps,
             "worst_point": point.tolist(),
-            "margin": margin,
+            "margin": _margin_text(margin),
             "passed": adv_ok,
         }
         passed = passed and adv_ok

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 BISECT_ITERS = 200
+# float64 entries per block of rows, in the sampler and the nearest-center
+# kernel, so that a block's temporaries fit together in a 2 MiB L2 cache
+_BLOCK_ENTRIES = 1 << 18
 
 
 def _real(value) -> bool:
@@ -86,8 +89,10 @@ def norms(space: LpSpace, xs) -> np.ndarray:
     The ufunc calls of np.linalg.norm(xs, ord=p, axis=1), with the same
     result bits, without its argument handling.
     """
-    xs = np.asarray(xs, dtype=float)
-    p = space.p
+    return _norms(space.p, np.asarray(xs, dtype=float))
+
+
+def _norms(p: float, xs: np.ndarray) -> np.ndarray:
     if math.isinf(p):
         return np.max(np.abs(xs), axis=1)
     if p == 2.0:
@@ -207,21 +212,55 @@ def sphere_from_rng(space: LpSpace, n: int, rng: np.random.Generator) -> np.ndar
     Gamma(1/p) variates raised to 1/p) and the rows normalized; for p = inf
     the rows are uniform on the cube scaled by their max modulus.
     """
-    d, p = space.d, space.p
-    if math.isinf(p):
-        x = rng.uniform(-1.0, 1.0, size=(n, d))
-        return x / np.max(np.abs(x), axis=1, keepdims=True)
-    mag = rng.gamma(1.0 / p, 1.0, size=(n, d)) ** (1.0 / p)
-    sgn = rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
-    x = sgn * mag
-    return x / norms(space, x)[:, None]
+    out = np.empty((n, space.d))
+    _fill(space, out, rng, ball=False)
+    return out
 
 
 def ball_from_rng(space: LpSpace, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n rows uniform in the closed unit lp ball, drawn from rng."""
-    x = sphere_from_rng(space, n, rng)
-    radii = rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / space.d)
-    return x * radii
+    """n rows uniform in the closed unit lp ball, drawn from rng: sphere rows
+    as sphere_from_rng draws them, scaled by radii U^(1/d) drawn after them."""
+    out = np.empty((n, space.d))
+    _fill(space, out, rng, ball=True)
+    return out
+
+
+def _fill(space: LpSpace, out: np.ndarray, rng: np.random.Generator, ball: bool) -> None:
+    # The one sampler: fills the C-contiguous (n, d) array out in place with
+    # the rows of sphere_from_rng, or of ball_from_rng. It draws from rng in
+    # the order of the formulas -- every magnitude (uniform(-1, 1) is -1 + 2 U
+    # for p = inf), then every sign, then every radius -- and each draw goes
+    # in the same order in blocks of rows, so the bits are the formulas'.
+    # A block of rows is a quarter of the kernel's, so that it, its int64
+    # signs and the norms' temporary fit the L2 cache together, and a thread
+    # that fills part of a caller's array allocates little.
+    p, d = space.p, space.d
+    rows = max(1, _BLOCK_ENTRIES // (4 * d))
+    if math.isinf(p):
+        rng.random(out=out)
+        out *= 2.0
+        out -= 1.0
+    else:
+        rng.standard_gamma(1.0 / p, out=out)
+        out **= 1.0 / p
+    for lo in range(0, out.shape[0], rows):
+        block = out[lo : lo + rows]
+        if not math.isinf(p):
+            # a draw of 0 sets the sign bit of the magnitude (>= 0, a +0.0
+            # included), which is its product with 2 * 0 - 1 = -1 exactly
+            signs = rng.integers(0, 2, size=block.shape)
+            signs ^= 1
+            signs <<= 63
+            bits = block.view(np.int64)
+            bits |= signs
+            del signs  # before the norms' temporary, so that one block is alive
+        block /= _norms(p, block)[:, None]
+    if ball:
+        for lo in range(0, out.shape[0], rows):
+            block = out[lo : lo + rows]
+            radii = rng.random((block.shape[0], 1))
+            radii **= 1.0 / d
+            block *= radii
 
 
 def sample_sphere(space: LpSpace, n: int, seed: int) -> np.ndarray:

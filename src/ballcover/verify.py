@@ -6,6 +6,9 @@ empirical dictionary-maximality certification.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +17,16 @@ from scipy.spatial.distance import cdist
 
 from .coverings import BallCovering
 from .dictionaries import Dictionary, _Admission
-from .spaces import LpSpace, _norming, ball_from_rng, norm, norms, sphere_from_rng
+from .spaces import (
+    _BLOCK_ENTRIES,
+    LpSpace,
+    _fill,
+    _norming,
+    ball_from_rng,
+    norm,
+    norms,
+    sphere_from_rng,
+)
 
 __all__ = [
     "PASS_TOL",
@@ -35,13 +47,54 @@ __all__ = [
 
 PASS_TOL = 1e-12
 ADVERSARIAL_TOL = 1e-9
-# float64 entries per block of the nearest-center kernel, so that a block's
-# temporaries fit together in a 2 MiB L2 cache
-_BLOCK_ENTRIES = 1 << 18
 # sphere samples drawn at once by certify_maximality
 _MAXIMALITY_BATCH = 1024
 # rounds after which harden_dictionary gives up
 _HARDEN_MAX_ROUNDS = 500
+
+
+# process id -> the one worker thread that runs beside the caller, or None on
+# one CPU; a forked child has none of its parent's threads, so it makes its own
+_WORKERS: dict[int, ThreadPoolExecutor | None] = {}
+_WORKERS_LOCK = threading.Lock()
+
+
+def _worker() -> ThreadPoolExecutor | None:
+    pid = os.getpid()
+    with _WORKERS_LOCK:
+        if pid not in _WORKERS:
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:  # not on every platform
+                cpus = os.cpu_count() or 1
+            _WORKERS.clear()
+            _WORKERS[pid] = ThreadPoolExecutor(1, thread_name_prefix="ballcover") if cpus >= 2 else None
+        return _WORKERS[pid]
+
+
+def _in_two(parts: list, run) -> None:
+    # run(first half of parts, 0) here while the worker runs run(the rest, 1),
+    # the caller's half the larger; run(parts, 0) alone with one part or one
+    # CPU. run must not submit to the worker, and each part must write only
+    # its own outputs. numpy's error state belongs to a thread (a contextvar
+    # in numpy 2), so the worker takes the caller's.
+    worker = _worker() if len(parts) > 1 else None
+    if worker is None:
+        run(parts, 0)
+        return
+    half = (len(parts) + 1) // 2
+    state = np.geterr()
+
+    def there():
+        with np.errstate(**state):
+            run(parts[half:], 1)
+
+    future = worker.submit(there)
+    try:
+        run(parts[:half], 0)
+    finally:
+        wait((future,))  # also when this half raised: no task outlives the call
+    future.result()
 
 
 def _coordinate_sum(terms: np.ndarray) -> np.ndarray:
@@ -70,9 +123,11 @@ def _nearest_to(space: LpSpace, centers):
     # centers; else one term |x_k - c_k| per coordinate and center
     width = m + d if p == 2.0 else d * m
     block_rows = max(1, _BLOCK_ENTRIES // width)
-    buf = np.empty(block_rows * (m if p == 2.0 else width))
+    size = block_rows * (m if p == 2.0 else width)
+    # one buffer per thread; the worker's is allocated here, on its first use
+    buffers = [np.empty(size)]
 
-    def block(x) -> tuple[np.ndarray, np.ndarray]:
+    def block(x, buf) -> tuple[np.ndarray, np.ndarray]:
         r = x.shape[0]
         if p == 2.0:
             score = np.matmul(x, coords, out=buf[: r * m].reshape(r, m))
@@ -107,23 +162,36 @@ def _nearest_to(space: LpSpace, centers):
         n = xs.shape[0]
         index = np.empty(n, dtype=np.intp)
         dist = np.empty(n)
+
+        def blocks(parts, k):
+            for rows in parts:
+                index[rows], dist[rows] = block(xs[rows], buffers[k])
+
         # contiguous slices of all rows, so that the ascent's many small
         # queries copy nothing, or index blocks of the rows the tree cannot rank
         if tree is None:
-            blocks = [slice(lo, lo + block_rows) for lo in range(0, n, block_rows)]
+            parts = [slice(lo, lo + block_rows) for lo in range(0, n, block_rows)]
         else:
             exact = np.isfinite(xs).all(axis=1)
-            if exact.any():
-                two, pair = tree.query(xs if exact.all() else xs[exact], k=2, p=np.inf)
-                dist[exact] = two[:, 0]
-                index[exact] = pair[:, 0]
-                # a Chebyshev distance is a max of exact |x_k - c_k|, so the
-                # tree's are the blocks' bits; only a tie leaves the index open
-                exact[exact] = two[:, 0] < two[:, 1]
+            ranked = np.flatnonzero(exact)
+
+            def rank(halves, _):
+                for rows in halves:
+                    two, pair = tree.query(xs[rows], k=2, p=np.inf)
+                    dist[rows] = two[:, 0]
+                    index[rows] = pair[:, 0]
+                    # a Chebyshev distance is a max of exact |x_k - c_k|, so the
+                    # tree's are the blocks' bits; only a tie leaves the index open
+                    exact[rows] = two[:, 0] < two[:, 1]
+
+            # in halves when the rows would fill two blocks
+            cut = (ranked.size + 1) // 2
+            _in_two([ranked[:cut], ranked[cut:]] if ranked.size > block_rows else [ranked], rank)
             slow = np.flatnonzero(~exact)
-            blocks = [slow[lo : lo + block_rows] for lo in range(0, slow.size, block_rows)]
-        for rows in blocks:
-            index[rows], dist[rows] = block(xs[rows])
+            parts = [slow[lo : lo + block_rows] for lo in range(0, slow.size, block_rows)]
+        if len(parts) > 1 and len(buffers) == 1:
+            buffers.append(np.empty(size))
+        _in_two(parts, blocks)
         return index, dist
 
     return query
@@ -147,6 +215,13 @@ def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
     blocks. The per-cover constants are built once per call, and once per
     cover in the adversarial ascent. A term or score too large for a float
     is inf, and so is the distance, without a warning.
+
+    When two CPUs are available and a query has two blocks or more, a worker
+    thread runs the later half of the blocks, with a block buffer of its
+    own, while the calling thread runs the rest; the tree's rows are split
+    in halves the same way. The block boundaries do not depend on the split,
+    and each row's result depends only on its own block, so the bits are
+    those of running the blocks in turn, as on one CPU.
     """
     # once per call, not per block: each errstate costs microseconds
     with np.errstate(over="ignore"):
@@ -183,16 +258,26 @@ def certify_sampling(cov: BallCovering, n_ball: int, n_sphere: int, seed: int) -
     Sphere points stress the binding constraints (the proof margins bind at
     the boundary). Each margin passes or fails by covered(). The first
     failing sample, if any, is the witness.
+
+    The n_ball ball rows come first, drawn from the first child stream of
+    SeedSequence(seed), and the sphere rows from the second. When two CPUs
+    are available and both counts are positive, a worker thread draws the
+    ball rows into their part of one array while the calling thread draws
+    the sphere rows. Each stream is its own generator, so neither its draws
+    nor its bits depend on which thread runs it or when.
     """
     if n_ball < 0 or n_sphere < 0 or n_ball + n_sphere < 1:
         raise ValueError("need at least one sample")
     child = np.random.SeedSequence(seed).spawn(2)
-    parts = []
-    if n_ball:
-        parts.append(ball_from_rng(cov.space, n_ball, np.random.default_rng(child[0])))
-    if n_sphere:
-        parts.append(sphere_from_rng(cov.space, n_sphere, np.random.default_rng(child[1])))
-    xs = np.vstack(parts)
+    xs = np.empty((n_ball + n_sphere, cov.space.d))
+    # each child stream fills its own rows, the ball's first
+    streams = [(xs[n_ball:], child[1], False), (xs[:n_ball], child[0], True)]
+
+    def draw(parts, _):
+        for rows, stream, ball in parts:
+            _fill(cov.space, rows, np.random.default_rng(stream), ball)
+
+    _in_two([part for part in streams if part[0].shape[0]], draw)
     margins = cov.radius - min_distances(cov, xs)
     worst = float(np.min(margins))
     bad = ~covered(cov, margins)

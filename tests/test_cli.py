@@ -110,6 +110,23 @@ def test_cover_verify_fails_on_shrunken_radius(tmp_path):
     assert main(["cover", "verify", "--in", str(broken), "--samples", "2000", "--seed", "7"]) == 2
 
 
+def test_cover_verify_writes_a_non_finite_margin_as_text(tmp_path):
+    # every distance to the lone center overflows to inf, so both margins are
+    # -inf; strict JSON has no -Infinity, so they are written as p's "inf" is
+    cover = {"space": {"d": 5, "p": 4}, "centers": [[1e200] * 5], "radius": 0.9, "closed": True, "provenance": "far"}
+    cover_path, out = tmp_path / "far.json", tmp_path / "report.json"
+    cover_path.write_text(json.dumps(cover))
+    argv = ["cover", "verify", "--in", str(cover_path), "--adversarial", "3", "--steps", "5"]
+    assert main([*argv, "--out", str(out)]) == 2
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    assert report["worst_margin"] == "-inf" and report["adversarial"]["margin"] == "-inf"
+    assert report["passed"] is False and report["adversarial"]["passed"] is False
+
+
 def test_cover_verify_rejects_nan_center(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(

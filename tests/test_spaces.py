@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ballcover.spaces as spaces
 from ballcover.spaces import (
     LpSpace,
     SmoothnessMajorant,
@@ -67,6 +68,40 @@ def test_sphere_from_rng_bits_match_linalg_normalisation(p, d):
             sphere_from_rng(space, 300, np.random.default_rng(seed)),
             _old_sphere_from_rng(space, 300, np.random.default_rng(seed)),
         )
+
+
+def _old_ball_from_rng(space, n, rng):
+    x = _old_sphere_from_rng(space, n, rng)
+    return x * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / space.d)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.5, 4.0, math.inf])
+@pytest.mark.parametrize("d", [1, 8, 33])
+def test_sampler_in_blocks_keeps_the_bits_and_the_stream(monkeypatch, p, d):
+    # blocks of 1 to 32 rows: the draws go in the formulas' order across
+    # blocks, so the rows and the generator's state after them are the same
+    monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", 1 << 7)
+    space = LpSpace(d, p)
+    for new, old in ((sphere_from_rng, _old_sphere_from_rng), (ball_from_rng, _old_ball_from_rng)):
+        for n in (0, 1, 45):
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            assert new(space, n, rng).tobytes() == old(space, n, ref).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize("entries", [1 << 18, 1 << 7])
+def test_sampler_signs_replay_the_integer_draw(monkeypatch, p, entries):
+    # the sign of each coordinate is 2 * integers(0, 2) - 1, drawn after
+    # every magnitude, for sphere and ball rows alike (radii are positive)
+    monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", entries)
+    space, n = LpSpace(7, p), 120
+    for sample in (sphere_from_rng, ball_from_rng):
+        x = sample(space, n, np.random.default_rng(5))
+        replay = np.random.default_rng(5)
+        replay.standard_gamma(1.0 / p, size=(n, 7))
+        signs = 2 * replay.integers(0, 2, size=(n, 7)) - 1
+        np.testing.assert_array_equal(np.copysign(1.0, x), signs)
 
 
 def test_norm_pythagorean():

@@ -1,4 +1,8 @@
+import hashlib
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from ballcover.spaces import (
     norms,
     sample_sphere,
     smoothness_majorant_for,
+    sphere_from_rng,
 )
 from ballcover.verify import (
     _BLOCK_ENTRIES,
@@ -268,6 +273,145 @@ def test_adversarial_search_fails_on_a_far_center_without_raising(p):
     assert margin == -math.inf
     assert not covered(cov, margin, ADVERSARIAL_TOL)
     assert point.shape == (5,)
+
+
+class _CountingWorker(ThreadPoolExecutor):
+    # the worker thread, there on one CPU too, counting the tasks it is given
+    def __init__(self):
+        super().__init__(1)
+        self.tasks = 0
+        self._count = threading.Lock()
+
+    def submit(self, *args, **kwargs):
+        with self._count:
+            self.tasks += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def worker():
+    pool = _CountingWorker()
+    yield pool
+    pool.shutdown()
+
+
+def _nearest_digest(space, xs, centers):
+    index, dist = nearest(space, xs, centers)
+    return hashlib.sha256(index.astype(np.int64).tobytes() + dist.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.5, 4.0, math.inf])
+def test_nearest_split_is_bit_identical(monkeypatch, worker, p):
+    import ballcover.verify as verify
+
+    # small blocks, so that every query has many; a lattice with a
+    # duplicate center for ties, NaN and inf rows, and at p = inf a NaN
+    # center, which sends every row through the blocks
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 1 << 7)
+    rng = np.random.default_rng(81)
+    d = 3
+    centers = rng.integers(-2, 3, size=(6, d)) * 0.5
+    centers[5] = centers[0]
+    xs = np.vstack([rng.standard_normal((150, d)), rng.integers(-4, 5, size=(150, d)) * 0.25])
+    xs[[3, 77, 160]] = np.nan
+    xs[[100, 200], 1] = np.inf
+    cases = [centers]
+    if math.isinf(p):
+        cases.append(centers.copy())
+        cases[1][2, 0] = np.nan
+    space = LpSpace(d, p)
+    for c in cases:
+        with np.errstate(invalid="ignore"):
+            monkeypatch.setattr(verify, "_worker", lambda: None)
+            serial = _nearest_digest(space, xs, c)
+            tasks = worker.tasks
+            monkeypatch.setattr(verify, "_worker", lambda: worker)
+            assert _nearest_digest(space, xs, c) == serial
+        assert worker.tasks > tasks
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0, math.inf])
+@pytest.mark.parametrize("n_ball, n_sphere", [(300, 200), (0, 200), (300, 0)])
+def test_certify_sampling_stacks_the_two_streams(monkeypatch, worker, p, n_ball, n_sphere):
+    import ballcover.verify as verify
+
+    seen = []
+    measure = verify.min_distances
+    monkeypatch.setattr(verify, "min_distances", lambda cov, xs: seen.append(xs.copy()) or measure(cov, xs))
+    space = LpSpace(4, p)
+    centers = np.random.default_rng(82).uniform(-1.0, 1.0, size=(5, 4))
+    cov = BallCovering(space, centers, 0.6, closed=True, provenance="t")
+    child = np.random.SeedSequence(11).spawn(2)
+    expected = np.vstack(
+        [
+            ball_from_rng(space, n_ball, np.random.default_rng(child[0])),
+            sphere_from_rng(space, n_sphere, np.random.default_rng(child[1])),
+        ]
+    )
+    reports = []
+    for pool in (None, worker):
+        monkeypatch.setattr(verify, "_worker", lambda: pool)
+        reports.append(certify_sampling(cov, n_ball, n_sphere, 11))
+    # one task, the ball rows, and only when both streams draw
+    assert worker.tasks == (1 if n_ball and n_sphere else 0)
+    assert [xs.tobytes() for xs in seen] == [expected.tobytes()] * 2
+    assert reports[0].samples_tested == reports[1].samples_tested == n_ball + n_sphere
+    assert reports[0].worst_margin == reports[1].worst_margin
+
+
+@pytest.mark.parametrize("p", [2.0, 3.5, 4.0])
+def test_split_nearest_overflow_is_inf_without_a_warning(monkeypatch, worker, p):
+    import ballcover.verify as verify
+
+    # the worker's numpy error state is not the caller's unless it takes it;
+    # under the suite's warnings-as-errors filter a warning there would raise
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 1 << 7)
+    monkeypatch.setattr(verify, "_worker", lambda: worker)
+    index, dist = nearest(LpSpace(5, p), np.full((40, 5), 1e308), [[-1e308] * 5])
+    assert worker.tasks == 1
+    assert (index == 0).all() and (dist == math.inf).all()
+
+
+def test_concurrent_callers_share_the_worker(monkeypatch, worker):
+    import ballcover.verify as verify
+
+    # more calling threads than cores, all splitting their queries and
+    # sampling onto the one worker at a short switch interval: each must get
+    # the serial bits, so no part reads or writes another call's rows or buffer
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 1 << 9)
+    rng = np.random.default_rng(83)
+    covs = [
+        BallCovering(LpSpace(4, p), rng.uniform(-1.0, 1.0, size=(9, 4)), 0.7, closed=True, provenance="t")
+        for p in (2.0, 3.5, math.inf)
+    ]
+
+    def work(k):
+        cov = covs[k % 3]
+        report = certify_sampling(cov, 150, 150, k)
+        return report.worst_margin, _nearest_digest(cov.space, rng_rows[k], cov.centers)
+
+    rng_rows = [np.random.default_rng(k).uniform(-1.0, 1.0, size=(200, 4)) for k in range(6)]
+    monkeypatch.setattr(verify, "_worker", lambda: None)
+    expected = [work(k) for k in range(6)]
+    monkeypatch.setattr(verify, "_worker", lambda: worker)
+    results = [None] * 6
+
+    def caller(k):
+        results[k] = [work(k) for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[e] * 5 for e in expected]
+    assert worker.tasks >= 6 * 5
 
 
 def test_check_point_simplex_origin():
