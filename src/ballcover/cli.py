@@ -87,7 +87,7 @@ def _sylvester(order: int, least: int):
 def _cmd_hadamard(args):
     h = _sylvester(args.order, 1)
     # a HadamardMatrix has passed the exact check when it was constructed
-    return {"order": h.order, "rows": h.entries.tolist(), "verified": True}, True
+    return {"order": h.order, "rows": h.entries, "verified": True}, True
 
 
 def _cmd_etf(args):
@@ -99,7 +99,7 @@ def _cmd_etf(args):
         worst = [max(w, r) for w, r in zip(worst, res)]
     payload = {
         "dim": frame.dim,
-        "vectors": frame.matrix.T.tolist(),
+        "vectors": frame.matrix.T,
         "gram_max_deviation": gram_dev,
         "worst_identity_residuals": worst,
         "verified": bool(gram_dev <= GRAM_TOL and max(worst) <= 1e-10),

@@ -35,7 +35,7 @@ def verify_hadamard(entries) -> bool:
     m = np.asarray(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         return False
-    if not np.array_equal(np.abs(m), np.ones(m.shape)):
+    if not (np.abs(m) == 1).all():
         return False
     g = _gram(m)
     n = m.shape[0]

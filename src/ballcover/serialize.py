@@ -3,15 +3,18 @@
 Floats serialize through repr (json's default), which round-trips exactly;
 p is written as a number or the string "inf".
 
-Artefact text is ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` byte
-for byte; ``dumps`` only produces it faster. That json call formats every
-element in Python, while the payloads are mostly long runs of a few distinct
-numbers (Hadamard rows, frame vectors, centers). So a flat list whose items
-are all exact ints or all exact floats, with at most half of them distinct,
-is written as one run in which each distinct value is formatted once. Other
-flat lists go through json's encoder with the same item separator, and dicts
-and nested lists are written level by level around them, as pieces joined
-once at the end. Set and dict order never reaches the text, so it does not
+Artefact text is ``json.dumps(obj, indent=2, sort_keys=True,
+default=np.ndarray.tolist) + "\n"`` byte for byte; ``dumps`` only produces
+it faster. The payloads keep their bulk (Hadamard rows, frame vectors,
+centers) as numpy arrays, which hold long runs of a few distinct numbers.
+An integer or float array with at least one axis and one element is written
+from the array itself: json formats each distinct value once, each element
+takes the text of its value followed by the separator its position needs,
+and the pieces are joined in blocks of whole rows. Every other array (bool,
+0-d or empty arrays, and other dtypes) is written as its ``tolist()``. Flat
+lists go through json's encoder with the same item separator, and dicts and
+nested lists are written level by level around them, as pieces joined once
+at the end. Keys are sorted and no set is built, so the text does not
 depend on PYTHONHASHSEED.
 """
 
@@ -20,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
-from operator import countOf, itemgetter
 
 import numpy as np
 
@@ -68,7 +70,7 @@ def space_from_dict(obj) -> LpSpace:
 def covering_to_dict(cov: BallCovering) -> dict:
     return {
         "space": space_to_dict(cov.space),
-        "centers": cov.centers.tolist(),
+        "centers": cov.centers,
         "radius": cov.radius,
         "closed": cov.closed,
         "provenance": cov.provenance,
@@ -99,7 +101,7 @@ def covering_from_dict(obj) -> BallCovering:
 def dictionary_to_dict(dictionary: Dictionary) -> dict:
     return {
         "space": space_to_dict(dictionary.space),
-        "vectors": dictionary.vectors.tolist(),
+        "vectors": dictionary.vectors,
         "trials": dictionary.trials_used,
     }
 
@@ -124,8 +126,10 @@ def report_to_dict(report) -> dict:
 def dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, two-space indent, trailing newline.
 
-    Equal to ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, and raises
-    TypeError where that call does. Each level of nesting costs one Python
+    Equal to ``json.dumps(obj, indent=2, sort_keys=True,
+    default=np.ndarray.tolist) + "\n"``, and raises TypeError where that call
+    does: a numpy array is written as its ``tolist()`` would be, and its
+    subclasses as the base array. Each level of nesting costs one Python
     frame, as it does in that call, so both raise RecursionError at about the
     same depth, a little under ``sys.getrecursionlimit()``. A container that
     holds itself raises RecursionError here; json raises ValueError.
@@ -158,17 +162,77 @@ def _write(obj, nl: str, out: list[str]) -> None:
         inner = nl + "  "
         sep = "," + inner
         out.append("[" + inner)
-        text = _flat(obj, sep)
-        if text is None:
+        if any(isinstance(v, (list, tuple, dict, np.ndarray)) for v in obj):
             _write(obj[0], inner, out)
             for v in obj[1:]:
                 out.append(sep)
                 _write(v, inner, out)
         else:
-            out.append(text)
+            out.append(json.JSONEncoder(separators=(sep, ": ")).encode(obj)[1:-1])
         out.append(nl + "]")
+    elif isinstance(obj, np.ndarray):
+        kind = obj.dtype.kind
+        if obj.ndim and obj.size and (kind in "iu" or kind == "f" and obj.dtype.itemsize <= 8):
+            _write_array(obj.view(np.ndarray), nl, out)
+        else:
+            # json's default: the base class's tolist, also for subclasses
+            _write(np.ndarray.tolist(obj), nl, out)
     else:
         out.append(json.dumps(obj))
+
+
+# elements per joined block; whole rows are joined, at least one per block
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _write_array(a: np.ndarray, nl: str, out: list[str]) -> None:
+    """Append the text of a non-empty integer or float array with ndim >= 1."""
+    texts, codes = _texts(a.reshape(-1))
+    ndim = a.ndim
+    inner = [nl + "  " * k for k in range(ndim + 1)]
+    opens = ["[" + inner[k] for k in range(1, ndim + 1)]
+    closes = [inner[k] + "]" for k in reversed(range(ndim))]
+    # after an element at which the last j axes end: close j lists, then a
+    # comma and open j again; after the last element, close all of them
+    seps = ["".join(closes[:j]) + "," + inner[ndim - j] + "".join(opens[ndim - j :]) for j in range(ndim)]
+    seps.append("".join(closes))
+    # piece code * (ndim + 1) + j is the code's text followed by separator j
+    pieces = np.array([t + s for t in texts for s in seps], dtype=object)
+    codes *= ndim + 1
+    grid = codes.reshape(a.shape)  # a view: codes is a new contiguous array
+    for j in range(1, ndim + 1):
+        grid[(...,) + (-1,) * j] += 1  # at the last j axes' ends, one more
+    out.append("".join(opens))
+    step = max(1, _BLOCK_ENTRIES // a.shape[-1]) * a.shape[-1]
+    for start in range(0, a.size, step):
+        out.append("".join(pieces.take(codes[start : start + step]).tolist()))
+
+
+def _texts(flat: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """json's text of each value code of a 1-d integer or float array, and
+    each element's code; json formats each distinct value once."""
+    if flat.dtype.kind == "f":
+        # by bit pattern: 0.0 and -0.0 print differently, and NaN != NaN
+        bits, codes = np.unique(flat.view(f"i{flat.dtype.itemsize}"), return_inverse=True)
+        return _json_items(bits.view(flat.dtype).tolist()), codes.reshape(-1)
+    least = flat.min()
+    low, high = int(least), int(flat.max())
+    if high - low >= flat.size:
+        values, codes = np.unique(flat, return_inverse=True)
+        return _json_items(values.tolist()), codes.reshape(-1)
+    # the code is the offset from the minimum, computed with wraparound in
+    # intp: exact, as it is below the size; codes no element has get no text
+    codes = np.subtract(flat, least, dtype=np.intp, casting="unsafe")
+    present = np.flatnonzero(np.bincount(codes)).tolist()
+    texts = [""] * (high - low + 1)
+    for k, text in zip(present, _json_items([low + k for k in present])):
+        texts[k] = text
+    return texts, codes
+
+
+def _json_items(values: list) -> list[str]:
+    # no int or float text holds ", "
+    return json.dumps(values)[1:-1].split(", ")
 
 
 def _key(key) -> str:
@@ -177,23 +241,3 @@ def _key(key) -> str:
             raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
         key = json.dumps(key)  # json quotes the scalar's text: 1.5 -> "1.5", True -> "true"
     return json.dumps(key)
-
-
-def _flat(items, sep: str) -> str | None:
-    """The items of a non-empty list joined by sep, or None if one of them is
-    a container."""
-    kind = type(items[0])
-    # exact types keep True and 1.0 out of int runs, and 1 out of float runs
-    if (kind is int or kind is float) and countOf(map(type, items), kind) == len(items):
-        distinct = set(items)
-        # 0.0 == -0.0 and non-finite floats print as NaN/Infinity, so such
-        # float runs are left to json
-        if 2 * len(distinct) <= len(items) and (
-            kind is int or all(v and math.isfinite(v) for v in distinct)
-        ):
-            text = {v: repr(v) for v in distinct}
-            # len(items) >= 2 here, so the getter returns a tuple
-            return sep.join(itemgetter(*items)(text))
-    elif any(isinstance(v, (list, tuple, dict)) for v in items):
-        return None
-    return json.JSONEncoder(separators=(sep, ": ")).encode(items)[1:-1]

@@ -35,6 +35,18 @@ def test_verify_rejects():
     assert not verify_hadamard([[2, 0], [0, 2]])
 
 
+@pytest.mark.parametrize("bad", [0.0, 2.0, 1.5, np.nan])
+def test_verify_refuses_an_entry_off_plus_minus_one(bad):
+    m = sylvester(2).entries.astype(float)
+    m[1, 2] = bad
+    assert not verify_hadamard(m)
+
+
+def test_verify_refuses_orthogonal_entries_off_plus_minus_one():
+    # 2 I has M^T M = 4 I at order 4, so only the entry test refuses it
+    assert not verify_hadamard(2 * np.identity(4, dtype=np.int64))
+
+
 def test_constructor_rejects_invalid():
     with pytest.raises(ValueError):
         HadamardMatrix(np.ones((4, 4), dtype=np.int64))

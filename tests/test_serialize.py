@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ballcover import serialize
 from ballcover.cli import run_selftest
 from ballcover.coverings import axis_cover, etf_cover, iterate_cover
 from ballcover.dictionaries import Dictionary
+from ballcover.frames import etf_from_hadamard
 from ballcover.hadamard import sylvester
 from ballcover.serialize import (
     covering_from_dict,
@@ -36,7 +39,7 @@ def test_space_roundtrip():
 
 def test_covering_roundtrip_exact():
     cov, _ = axis_cover(3)
-    blob = json.dumps(covering_to_dict(cov))
+    blob = dumps(covering_to_dict(cov))
     again = covering_from_dict(json.loads(blob))
     assert np.array_equal(again.centers, cov.centers)
     assert again.radius == cov.radius
@@ -47,7 +50,7 @@ def test_covering_roundtrip_exact():
 
 def test_iterated_covering_roundtrip():
     cov = iterate_cover(axis_cover(2)[0], 2)
-    again = covering_from_dict(json.loads(json.dumps(covering_to_dict(cov))))
+    again = covering_from_dict(json.loads(dumps(covering_to_dict(cov))))
     assert np.array_equal(again.centers, cov.centers)
     assert again.radius == cov.radius
 
@@ -74,7 +77,7 @@ def test_loaders_reject_non_integral_dimension():
 
 def test_dictionary_roundtrip():
     d = Dictionary(space=LpSpace(2, 4.0), vectors=np.identity(2), trials_used=17)
-    again = dictionary_from_dict(json.loads(json.dumps(dictionary_to_dict(d))))
+    again = dictionary_from_dict(json.loads(dumps(dictionary_to_dict(d))))
     assert np.array_equal(again.vectors, d.vectors)
     assert again.trials_used == 17
     assert again.space == d.space
@@ -111,7 +114,7 @@ def test_dumps_deterministic_and_sorted():
 
 
 def _reference(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 # values that are equal under == but print differently, or print as NaN/Infinity
@@ -154,8 +157,75 @@ def test_dumps_equals_json_indent(c_make_encoder, obj):
         assert dumps(obj) == _reference(obj)
 
 
+# array leaves of every dtype dumps writes from the array, or through tolist
+_DTYPES = [np.int8, np.int64, np.uint64, np.float32, np.float64, np.bool_]
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4)
+
+
+def _arrays(dtype):
+    if dtype == np.bool_:
+        return hnp.arrays(dtype, _SHAPES)
+    if np.dtype(dtype).kind == "f":
+        floats = st.one_of(st.sampled_from([v for v in _PITFALLS if type(v) is float] + [1e-300, 1e16]), st.floats())
+        # drawn as float64, so float32 arrays also hold the values that round
+        return hnp.arrays(np.float64, _SHAPES, elements=floats).map(lambda a: _cast(a, dtype))
+    info = np.iinfo(dtype)
+    # the extremes make value ranges wider than the size
+    ints = st.one_of(st.sampled_from([info.min, info.max, 0, 1]), st.integers(info.min, info.max))
+    return hnp.arrays(dtype, _SHAPES, elements=ints)
+
+
+def _cast(a, dtype):
+    with np.errstate(over="ignore"):
+        return a.astype(dtype)
+
+
+_ARRAY_TREES = st.recursive(
+    st.one_of(_SCALARS, _RUNS, st.sampled_from(_DTYPES).flatmap(_arrays)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_STRINGS, children, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+@pytest.mark.parametrize("c_make_encoder", [json.encoder.c_make_encoder, None], ids=["c", "python"])
+@settings(max_examples=300, deadline=None)
+@given(obj=_ARRAY_TREES)
+def test_dumps_equals_json_with_array_leaves(c_make_encoder, obj):
+    with mock.patch.object(json.encoder, "c_make_encoder", c_make_encoder):
+        assert dumps(obj) == _reference(obj)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.arange(36).reshape(3, 4, 3),
+        np.arange(24.0).reshape(2, 1, 3, 4) - 11.5,
+        np.arange(14).reshape(2, 7) % 3,
+        np.linspace(-1.0, 1.0, 17),
+    ],
+    ids=["int-3d", "float-4d", "long-rows", "flat"],
+)
+def test_dumps_joins_rows_in_blocks(monkeypatch, a):
+    whole = dumps({"a": a})
+    # five entries a block: one row in each, rows of 7 overrun it
+    monkeypatch.setattr(serialize, "_BLOCK_ENTRIES", 5)
+    assert dumps({"a": a}) == whole == _reference({"a": a})
+
+
+def test_dumps_writes_subclasses_and_strided_arrays_as_json_does():
+    masked = np.ma.masked_array([1.0, -0.0, 2.0], mask=[True, False, False])
+    cases = [masked, np.arange(12).reshape(3, 4).T, np.arange(10.0)[::3], np.array([1.5, -2.0], dtype=">f8")]
+    for a in cases:
+        assert dumps([a]) == _reference([a])
+
+
 _GOLDEN = {
     "sylvester-10": lambda: {"order": 1024, "rows": sylvester(10).entries.tolist()},
+    "sylvester-10-array": lambda: {"order": 1024, "rows": sylvester(10).entries},
+    "etf-frame-256-array": lambda: {"vectors": etf_from_hadamard(sylvester(8)).matrix.T},
     "etf-cover-255": lambda: covering_to_dict(etf_cover(255)[0]),
     "iterated-axis-16": lambda: covering_to_dict(iterate_cover(axis_cover(16)[0], 2)),
     "selftest-7": lambda: run_selftest(7),
