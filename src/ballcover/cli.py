@@ -2,6 +2,7 @@
 witnesses, bound tables, and a deterministic self-test.
 
 Exit codes: 0 success, 1 usage or internal error, 2 verification failure.
+The parser is built once per process; each call parses into a new namespace.
 Each command returns (payload, passed); main alone records the seed in the
 payload, writes it and maps the verdict to the exit code. Timing never enters
 the JSON, so identical invocations produce byte-identical output.
@@ -10,6 +11,7 @@ the JSON, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -39,7 +41,6 @@ from .serialize import (
     dictionary_from_dict,
     dictionary_to_dict,
     dumps,
-    report_to_dict,
 )
 from .spaces import (
     LpSpace,
@@ -190,17 +191,17 @@ def _cmd_cover_verify(args):
         cov = covering_from_dict(json.load(fh))
     n_sphere = args.samples // 2
     report = certify_sampling(cov, args.samples - n_sphere, n_sphere, args.seed)
-    payload = report_to_dict(report)
+    payload = asdict(report)
     payload["worst_margin"] = _margin_text(report.worst_margin)
     payload["provenance"] = cov.provenance
     passed = report.passed
-    if args.adversarial > 0:
+    if args.adversarial:
         point, margin = adversarial_search(cov, args.adversarial, args.steps, args.seed + 1)
         adv_ok = covered(cov, margin, ADVERSARIAL_TOL)
         payload["adversarial"] = {
             "restarts": args.adversarial,
             "steps": args.steps,
-            "worst_point": point.tolist(),
+            "worst_point": point,
             "margin": _margin_text(margin),
             "passed": adv_ok,
         }
@@ -215,7 +216,7 @@ def _cmd_witness(args):
     space = LpSpace(args.d, args.p)
     z = uncovered_witness(space, centers)
     payload = {
-        "witness": z.tolist(),
+        "witness": z,
         "norm": norm(space, z),
         "min_distance": float(nearest(space, z, centers)[1][0]),
     }
@@ -400,6 +401,7 @@ def _add_common(parser) -> None:
     parser.add_argument("--json", action="store_true", help="force JSON on stdout")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ballcover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -447,7 +449,7 @@ def _build_parser() -> _Parser:
 
     p_wit = sub.add_parser("witness", help="uncovered-point witness for d stored centers")
     p_wit.add_argument("--d", type=int, required=True)
-    p_wit.add_argument("--p", type=float, default=2.0)
+    p_wit.add_argument("--p", type=float, default=2.0, help="norm exponent (number or 'inf')")
     p_wit.add_argument("--centers", required=True, help="JSON file with a 'centers' array")
     _add_common(p_wit)
     p_wit.set_defaults(func=_cmd_witness)
@@ -456,7 +458,7 @@ def _build_parser() -> _Parser:
     bounds_sub = p_bounds.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     p_table = bounds_sub.add_parser("table", help="covering bound table over a delta grid")
     p_table.add_argument("--d", type=int, required=True)
-    p_table.add_argument("--p", type=float, default=2.0)
+    p_table.add_argument("--p", type=float, default=2.0, help="norm exponent (number or 'inf')")
     p_table.add_argument("--delta-grid", dest="delta_grid", required=True, help="start:stop:count")
     p_table.add_argument("--csv", default=None)
     _add_common(p_table)

@@ -94,9 +94,9 @@ class _Admission:
     """Incumbents of an incoherent dictionary under construction, with the
     scores of the admission test M(D) <= mu.
 
-    Holds the vectors and their norming functionals in preallocated arrays
-    that double when full; for p = 2 the functionals are the vectors
-    themselves. Candidates are scored in blocks: the one-sided score
+    Holds the vectors and their norming functionals as plain arrays, one row
+    each, grown by one row per admission; for p = 2 the functionals are the
+    vectors themselves. Candidates are scored in blocks: the one-sided score
     max_g |F_x(g)| takes the candidates' functionals, the reverse score
     max_g |F_g(x)| the candidates themselves. With no incumbents both are 0.
     """
@@ -109,17 +109,8 @@ class _Admission:
         self.space = space
         self.mu = mu
         self.euclidean = space.p == 2.0
-        start = np.asarray(vectors, dtype=float).reshape(-1, space.d)
-        self.size = start.shape[0]
-        self._vecs = np.empty((max(64, 2 * self.size), space.d))
-        self._vecs[: self.size] = start
-        self._funcs = self._vecs if self.euclidean else np.empty_like(self._vecs)
-        if not self.euclidean:
-            self._funcs[: self.size] = norming_coords(space, start)
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return self._vecs[: self.size]
+        self.vectors = np.asarray(vectors, dtype=float).reshape(-1, space.d)
+        self._funcs = self.functionals(self.vectors)
 
     def functionals(self, xs: np.ndarray) -> np.ndarray:
         """Norming-functional coordinates of the rows of xs."""
@@ -131,19 +122,12 @@ class _Admission:
 
     def reverse(self, xs: np.ndarray) -> np.ndarray:
         """max_g |F_g(x)| for each candidate x."""
-        return np.max(np.abs(xs @ self._funcs[: self.size].T), axis=1, initial=0.0)
+        return np.max(np.abs(xs @ self._funcs.T), axis=1, initial=0.0)
 
     def add(self, x: np.ndarray, fx: np.ndarray) -> None:
         """Admit x, whose functional has coordinates fx."""
-        if self.size == self._vecs.shape[0]:
-            self._vecs = np.concatenate([self._vecs, np.empty_like(self._vecs)])
-            if self.euclidean:
-                self._funcs = self._vecs
-            else:
-                self._funcs = np.concatenate([self._funcs, np.empty_like(self._funcs)])
-        self._vecs[self.size] = x
-        self._funcs[self.size] = fx
-        self.size += 1
+        self.vectors = np.vstack([self.vectors, x])
+        self._funcs = self.vectors if self.euclidean else np.vstack([self._funcs, fx])
 
     def admit(self, x: np.ndarray, fx: np.ndarray) -> bool:
         """Admit x, whose one-sided score the caller has found <= mu, unless
@@ -202,7 +186,7 @@ def greedy_maximal_dictionary(space: LpSpace, mu: float, seed: int) -> Dictionar
             x, fx = xs[j], fxs[j]
             j += 1
             trials += 1
-            if core.size and np.min(norms(space, core.vectors - x)) < DUPLICATE_TOL:
+            if len(core.vectors) and np.min(norms(space, core.vectors - x)) < DUPLICATE_TOL:
                 rejected += 1
                 continue
             core.add(x, fx)

@@ -11,19 +11,16 @@ An integer or float array with at least one axis and one element is written
 from the array itself: json formats each distinct value once, each element
 takes the text of its value followed by the separator its position needs,
 and the pieces are joined in blocks of whole rows. Every other array (bool,
-0-d or empty arrays, and other dtypes) is written as its ``tolist()``. Flat
-lists go through json's encoder with the same item separator, and dicts and
-nested lists are written level by level around them, as pieces joined once
-at the end. Keys are sorted and no set is built, so the text does not
-depend on PYTHONHASHSEED.
+0-d or empty arrays, and other dtypes) is written as its ``tolist()``. Dicts
+and lists are written level by level around them, as pieces joined once at
+the end. Keys are sorted and no set is built, so the text does not depend
+on PYTHONHASHSEED.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
-
 import numpy as np
 
 from .coverings import BallCovering
@@ -37,7 +34,6 @@ __all__ = [
     "covering_from_dict",
     "dictionary_to_dict",
     "dictionary_from_dict",
-    "report_to_dict",
     "dumps",
 ]
 
@@ -115,14 +111,6 @@ def dictionary_from_dict(obj) -> Dictionary:
     )
 
 
-def report_to_dict(report) -> dict:
-    """A verify.CoverageReport's fields, the witness as a list; no timing, so artefacts are byte-identical."""
-    out = asdict(report)
-    if report.failure_witness is not None:
-        out["failure_witness"] = report.failure_witness.tolist()
-    return out
-
-
 def dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, two-space indent, trailing newline.
 
@@ -160,15 +148,11 @@ def _write(obj, nl: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        sep = "," + inner
-        out.append("[" + inner)
-        if any(isinstance(v, (list, tuple, dict, np.ndarray)) for v in obj):
-            _write(obj[0], inner, out)
-            for v in obj[1:]:
-                out.append(sep)
-                _write(v, inner, out)
-        else:
-            out.append(json.JSONEncoder(separators=(sep, ": ")).encode(obj)[1:-1])
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
         out.append(nl + "]")
     elif isinstance(obj, np.ndarray):
         kind = obj.dtype.kind

@@ -1,15 +1,19 @@
+import argparse
 import hashlib
 import itertools
 import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ballcover.cli import CONSTRUCTIONS, main
-from ballcover.serialize import covering_from_dict
+from ballcover.coverings import axis_cover
+from ballcover.serialize import covering_from_dict, covering_to_dict, dumps
+from ballcover.verify import certify_sampling
 
 
 def _read(path):
@@ -108,6 +112,49 @@ def test_cover_verify_fails_on_shrunken_radius(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(blob))
     assert main(["cover", "verify", "--in", str(broken), "--samples", "2000", "--seed", "7"]) == 2
+
+
+def test_verify_artefact_excludes_elapsed_by_default(tmp_path):
+    cover_path, out = tmp_path / "c.json", tmp_path / "report.json"
+    assert main(["cover", "build", "--construction", "axis", "--d", "2", "--out", str(cover_path)]) == 0
+    assert main(["cover", "verify", "--in", str(cover_path), "--samples", "200", "--seed", "3", "--out", str(out)]) == 0
+    blob = _read(out)
+    assert "elapsed" not in blob
+    assert blob["passed"] is True
+    assert blob["seed"] == 3
+
+
+def test_verify_artefact_of_a_failing_report(tmp_path):
+    # the artefact holds the report's fields, its witness as a list of floats
+    cov = replace(axis_cover(2)[0], radius=0.5)
+    cover_path, out = tmp_path / "c.json", tmp_path / "report.json"
+    cover_path.write_text(dumps(covering_to_dict(cov)))
+    assert main(["cover", "verify", "--in", str(cover_path), "--samples", "200", "--seed", "3", "--out", str(out)]) == 2
+    report = certify_sampling(cov, 100, 100, seed=3)
+    blob = _read(out)
+    assert blob == {
+        "samples_tested": 200,
+        "worst_margin": report.worst_margin,
+        "failure_witness": report.failure_witness.tolist(),
+        "seed": 3,
+        "passed": False,
+        "provenance": cov.provenance,
+    }
+    assert len(blob["failure_witness"]) == 2
+    assert all(type(v) is float for v in blob["failure_witness"])
+
+
+@pytest.mark.parametrize("budget", [["--adversarial", "-3"], ["--adversarial", "2", "--steps", "-1"]])
+def test_cover_verify_refuses_a_negative_ascent_budget(tmp_path, capsys, budget):
+    # 0 disables the ascent; any other count reaches the ascent's own guard
+    cover_path, out = tmp_path / "c.json", tmp_path / "report.json"
+    assert main(["cover", "build", "--construction", "axis", "--d", "2", "--out", str(cover_path)]) == 0
+    capsys.readouterr()
+    assert main(["cover", "verify", "--in", str(cover_path), "--samples", "200", *budget, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: restarts and steps must be positive\n"
+    assert not out.exists()
 
 
 def test_cover_verify_writes_a_non_finite_margin_as_text(tmp_path):
@@ -513,3 +560,39 @@ def test_seed_defaults_to_zero_whatever_the_environment(tmp_path, monkeypatch):
     out = tmp_path / "h.json"
     assert main(["hadamard", "--order", "2", "--out", str(out)]) == 0
     assert _read(out)["seed"] == 0
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    argv = ["hadamard", "--order", "2", "--out", str(tmp_path / "h.json")]
+    assert main(argv) == 0
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert main(argv) == 0
+    assert main(["etf", "--order", "4", "--out", str(tmp_path / "etf.json")]) == 0
+    assert calls == []
+
+
+def test_no_option_value_carries_over_between_calls(tmp_path, capsys):
+    argv = ["cover", "build", "--construction", "dict-l2", "--d", "3"]
+    assert main([*argv, "--mu", "0.5", "--out", str(tmp_path / "c.json")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "again.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: construction 'dict-l2' needs --mu\n"
+    assert not out.exists()
+
+
+def test_a_usage_error_leaves_the_next_call_as_in_a_fresh_process(tmp_path):
+    argv = ["cover", "build", "--construction", "axis", "--d", "4"]
+    assert main([*argv, "--p", "abc", "--out", str(tmp_path / "bad.json")]) == 1
+    here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+    assert main([*argv, "--out", str(here)]) == 0
+    run = subprocess.run([sys.executable, "-m", "ballcover", *argv, "--out", str(fresh)], capture_output=True)
+    assert run.returncode == 0, run.stderr.decode()[:500]
+    assert here.read_bytes() == fresh.read_bytes()

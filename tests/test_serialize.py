@@ -1,7 +1,6 @@
 import json
 import math
 import sys
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,12 +21,10 @@ from ballcover.serialize import (
     dictionary_from_dict,
     dictionary_to_dict,
     dumps,
-    report_to_dict,
     space_from_dict,
     space_to_dict,
 )
 from ballcover.spaces import LpSpace
-from ballcover.verify import certify_sampling
 
 
 def test_space_roundtrip():
@@ -81,29 +78,6 @@ def test_dictionary_roundtrip():
     assert np.array_equal(again.vectors, d.vectors)
     assert again.trials_used == 17
     assert again.space == d.space
-
-
-def test_report_dict_excludes_elapsed_by_default():
-    cov, _ = axis_cover(2)
-    report = certify_sampling(cov, 100, 100, seed=3)
-    out = report_to_dict(report)
-    assert "elapsed" not in out
-    assert out["passed"] is True
-    assert out["seed"] == 3
-
-
-def test_report_dict_of_a_failing_report():
-    cov, _ = axis_cover(2)
-    report = certify_sampling(replace(cov, radius=0.5), 100, 100, seed=3)
-    out = report_to_dict(report)
-    assert out == {
-        "samples_tested": 200,
-        "worst_margin": report.worst_margin,
-        "failure_witness": report.failure_witness.tolist(),
-        "seed": 3,
-        "passed": False,
-    }
-    assert type(out["failure_witness"][0]) is float
 
 
 def test_dumps_deterministic_and_sorted():

@@ -733,6 +733,26 @@ def test_certify_maximality_hard_failure_carries_dictionary(monkeypatch):
     assert float(np.max(np.abs(norming_coords(space, augmented.vectors) @ x))) > 0.5
 
 
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_admission_leaves_the_input_vectors_unchanged(p):
+    # the admission core may start from a view of the input's vectors; an
+    # admission must grow a new array, never write into that one
+    space = LpSpace(3, p)
+    d = Dictionary(space, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    before = d.vectors.tobytes()
+    _, augmented = certify_maximality(d, 0.5, 100, seed=55)
+    assert len(augmented) > len(d)
+    assert d.vectors.tobytes() == before
+    majorant = smoothness_majorant_for(space)
+    if p == 2.0:
+        cover = lambda dd: dictionary_cover_l2(dd, 0.5)  # noqa: E731
+    else:
+        cover = lambda dd: dictionary_cover_banach(dd, 0.5, majorant)  # noqa: E731
+    _, hardened = harden_dictionary(d, 0.5, cover, restarts=10, steps=50, seed=3, clean_rounds=1)
+    assert len(hardened) > len(d)
+    assert d.vectors.tobytes() == before
+
+
 def test_sampling_and_adversarial_agree():
     # same verdict for the margin constructions at default budgets
     from ballcover.coverings import basis_cover, etf_cover
