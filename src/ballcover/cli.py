@@ -55,10 +55,9 @@ from .spaces import (
 from .verify import (
     ADVERSARIAL_TOL,
     adversarial_search,
-    certify_maximality,
+    certified_dictionary_cover,
     certify_sampling,
     covered,
-    harden_dictionary,
     linf_vertex_check,
     nearest,
     simplex_dichotomy_check,
@@ -129,47 +128,32 @@ def _cmd_dict_coherence(args):
     return payload, True
 
 
-def _certified_dictionary(space, mu, seed, samples):
-    """Greedy build at seed, then certify_maximality on samples at seed + 1.
-
-    Returns (maximal, dictionary). A counterexample that cannot be admitted
-    gives (False, the dictionary as augmented so far).
-    """
-    dictionary = greedy_maximal_dictionary(space, mu, seed)
-    return certify_maximality(dictionary, mu, samples, seed + 1)
-
-
-def _build_dictionary(args, space):
-    # the certified dictionary behind the dict-* constructions
+def _dictionary_cover(args, space, cover):
+    # the dict-* constructions (cover(dictionary, mu) -> BallCovering) run the
+    # library's one dictionary pipeline; a cover it does not certify is still
+    # written, and cover build exits 2, as cover verify does with a failing report
     if args.mu is None:
         raise ValueError(f"construction {args.construction!r} needs --mu")
-    maximal, dictionary = _certified_dictionary(space, args.mu, args.seed, 2000)
-    if not maximal:
-        print(
-            "warning: maximality certification hit an unrepairable counterexample; "
-            "continuing with the dictionary augmented so far",
-            file=sys.stderr,
-        )
-    return dictionary
+    cov, _, _, hardened, report = certified_dictionary_cover(
+        space, args.mu, args.seed, lambda d: cover(d, args.mu)
+    )
+    return cov, hardened and report.passed
 
 
-# name -> (needs p = 2, builder(args, space) -> BallCovering)
+# name -> (needs p = 2, builder(args, space) -> (BallCovering, certified))
 CONSTRUCTIONS = {
-    "simplex": (True, lambda args, space: simplex_cover_unit(args.d)[0]),
-    "simplex-shrunk": (True, lambda args, space: simplex_cover_shrunk(args.d)[0]),
-    "etf": (True, lambda args, space: etf_cover(args.d)[0]),
-    "dict-l2": (
-        True,
-        lambda args, space: dictionary_cover_l2(_build_dictionary(args, space), args.mu),
-    ),
+    "simplex": (True, lambda args, space: (simplex_cover_unit(args.d)[0], True)),
+    "simplex-shrunk": (True, lambda args, space: (simplex_cover_shrunk(args.d)[0], True)),
+    "etf": (True, lambda args, space: (etf_cover(args.d)[0], True)),
+    "dict-l2": (True, lambda args, space: _dictionary_cover(args, space, dictionary_cover_l2)),
     "dict-banach": (
         False,
-        lambda args, space: dictionary_cover_banach(
-            _build_dictionary(args, space), args.mu, smoothness_majorant_for(space)
+        lambda args, space: _dictionary_cover(
+            args, space, lambda d, mu: dictionary_cover_banach(d, mu, smoothness_majorant_for(space))
         ),
     ),
-    "axis": (True, lambda args, space: axis_cover(args.d)[0]),
-    "basis": (False, lambda args, space: basis_cover(space)),
+    "axis": (True, lambda args, space: (axis_cover(args.d)[0], True)),
+    "basis": (False, lambda args, space: (basis_cover(space), True)),
 }
 
 
@@ -177,7 +161,8 @@ def _cmd_cover_build(args):
     needs_p2, build = CONSTRUCTIONS[args.construction]
     if needs_p2 and args.p != 2.0:
         raise ValueError(f"construction {args.construction!r} requires p = 2")
-    return covering_to_dict(iterate_cover(build(args, LpSpace(args.d, args.p)), args.iterate)), True
+    cov, certified = build(args, LpSpace(args.d, args.p))
+    return covering_to_dict(iterate_cover(cov, args.iterate)), certified
 
 
 def _margin_text(margin: float):
@@ -295,35 +280,25 @@ def _selftest_checks(seed: int):
         ok = ok and detail["iterate_count"] == 16
         return ok, detail
 
-    def dict_pipeline(space, cover):
-        # certified dictionary at mu = 0.5, hardening, then sampled coverage;
-        # returns (maximal, hardened and sampling passed, cover, detail)
-        maximal, dictionary = _certified_dictionary(space, 0.5, seed, 4000)
-        hardened, dictionary = harden_dictionary(
-            dictionary, 0.5, cover, restarts=50, steps=100, seed=seed + 2, clean_rounds=3
-        )
-        cov = cover(dictionary)
-        report = certify_sampling(cov, 2000, 2000, seed + 3)
-        detail = {"dictionary_size": len(dictionary), "worst_margin": report.worst_margin}
-        return maximal, hardened and report.passed, cov, detail
-
     def dict_pipeline_l2():
-        maximal, ok, cov, detail = dict_pipeline(
-            LpSpace(4, 2.0), lambda d: dictionary_cover_l2(d, 0.5)
+        cov, dictionary, maximal, hardened, report = certified_dictionary_cover(
+            LpSpace(4, 2.0), 0.5, seed, lambda d: dictionary_cover_l2(d, 0.5)
         )
         _, margin = adversarial_search(cov, 30, 100, seed + 4)
+        detail = {"dictionary_size": len(dictionary), "worst_margin": report.worst_margin}
         detail["adversarial_margin"] = margin
-        return maximal and ok and covered(cov, margin, ADVERSARIAL_TOL), detail
+        return maximal and hardened and report.passed and covered(cov, margin, ADVERSARIAL_TOL), detail
 
     def dict_pipeline_banach():
         # two-sided admission cannot always repair one-sided maximality gaps
         # in asymmetric spaces; record that verdict and certify the coverage
         majorant = smoothness_majorant_for(space4)
-        maximal, ok, _, detail = dict_pipeline(
-            space4, lambda d: dictionary_cover_banach(d, 0.5, majorant)
+        _, dictionary, maximal, hardened, report = certified_dictionary_cover(
+            space4, 0.5, seed, lambda d: dictionary_cover_banach(d, 0.5, majorant)
         )
+        detail = {"dictionary_size": len(dictionary), "worst_margin": report.worst_margin}
         detail["maximality_certified"] = maximal
-        return ok, detail
+        return hardened and report.passed, detail
 
     def witness_spot():
         worst = math.inf

@@ -1,6 +1,6 @@
 """Coverage certification by seeded sampling and adversarial ascent,
-uncovered-point witnesses, the cube-vertex count argument for l_inf, and
-empirical dictionary-maximality certification.
+uncovered-point witnesses, the cube-vertex count argument for l_inf,
+empirical dictionary-maximality certification, and the dictionary pipeline.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .coverings import BallCovering
-from .dictionaries import Dictionary, _Admission
+from .dictionaries import Dictionary, _Admission, greedy_maximal_dictionary
 from .spaces import (
     _BLOCK_ENTRIES,
     LpSpace,
@@ -42,6 +42,7 @@ __all__ = [
     "linf_vertex_check",
     "certify_maximality",
     "harden_dictionary",
+    "certified_dictionary_cover",
     "simplex_dichotomy_check",
 ]
 
@@ -553,6 +554,25 @@ def harden_dictionary(
                     return False, core.dictionary(dictionary.trials_used)
             break  # the later stacked rounds ran on the cover before these admissions
     return False, core.dictionary(dictionary.trials_used)
+
+
+def certified_dictionary_cover(space: LpSpace, mu: float, seed: int, build_cover):
+    """The one dictionary pipeline behind the dict-* covers, at fixed budgets.
+
+    Greedy build at seed; certify_maximality on 4000 samples at seed + 1;
+    harden_dictionary with 50 restarts x 100 steps and 3 clean rounds at
+    seed + 2; certify_sampling of build_cover(dictionary) on 2000 ball and
+    2000 sphere points at seed + 3. Each step goes on with the dictionary the
+    step before left, even one it could not certify. Returns (cover,
+    dictionary, maximal, hardened, report); the cover is certified only when
+    hardened and report.passed.
+    """
+    maximal, dictionary = certify_maximality(greedy_maximal_dictionary(space, mu, seed), mu, 4000, seed + 1)
+    hardened, dictionary = harden_dictionary(
+        dictionary, mu, build_cover, restarts=50, steps=100, seed=seed + 2, clean_rounds=3
+    )
+    cov = build_cover(dictionary)
+    return cov, dictionary, maximal, hardened, certify_sampling(cov, 2000, 2000, seed + 3)
 
 
 def simplex_dichotomy_check(points) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ballcover.cli import CONSTRUCTIONS, main
+from ballcover.cli import CONSTRUCTIONS, main, run_selftest
 from ballcover.coverings import axis_cover
 from ballcover.serialize import covering_from_dict, covering_to_dict, dumps
 from ballcover.verify import certify_sampling
@@ -302,6 +302,43 @@ def test_cover_build_dict_banach(tmp_path):
     assert main(["cover", "verify", "--in", str(cover_path), "--samples", "4000", "--seed", "3"]) == 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cover_build_dict_l2_survives_ascent(seed, tmp_path):
+    # cover build hardens the dictionary, so neither 4000 samples nor the
+    # ascent finds an uncovered point of the cover it writes
+    cover_path = tmp_path / "c.json"
+    argv = ["cover", "build", "--construction", "dict-l2", "--d", "6", "--mu", "0.5", "--seed", str(seed)]
+    assert main([*argv, "--out", str(cover_path)]) == 0
+    verify = ["cover", "verify", "--in", str(cover_path), "--samples", "4000", "--adversarial", "10", "--steps", "50"]
+    assert main([*verify, "--out", str(tmp_path / "v.json")]) == 0
+
+
+@pytest.mark.parametrize("seed", [1, 19])
+def test_cover_build_dict_banach_uncertified_exits_two(seed, tmp_path, capsys):
+    # the pipeline does not certify these covers: the artefact is still
+    # written, the exit code says so, and nothing is printed as a warning
+    cover_path = tmp_path / "c.json"
+    argv = ["cover", "build", "--construction", "dict-banach", "--d", "4", "--p", "4", "--mu", "0.5"]
+    assert main([*argv, "--seed", str(seed), "--out", str(cover_path)]) == 2
+    assert capsys.readouterr().err == ""
+    assert covering_from_dict(_read(cover_path)).provenance.startswith("dict-banach(N=")
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cover_build_dictionary_matches_selftest(seed, tmp_path):
+    # cover build and the selftest run one pipeline, so they grow one dictionary
+    sizes = {check["name"]: check["detail"].get("dictionary_size") for check in run_selftest(seed)["checks"]}
+    cases = {
+        "dict-pipeline-l2": ["dict-l2", "--d", "4", "--mu", "0.5"],
+        "dict-pipeline-banach": ["dict-banach", "--d", "4", "--p", "4", "--mu", "0.5"],
+    }
+    for check, args in cases.items():
+        cover_path = tmp_path / f"{check}.json"
+        argv = ["cover", "build", "--construction", *args, "--seed", str(seed), "--out", str(cover_path)]
+        assert main(argv) == 0
+        assert len(covering_from_dict(_read(cover_path))) == 2 * sizes[check]
+
+
 def test_cover_build_basis_l4(tmp_path):
     cover_path = tmp_path / "b.json"
     assert main(
@@ -316,7 +353,7 @@ def test_cover_build_requires_matching_p(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the p = 2 requirement must be checked before any work")
 
-    monkeypatch.setattr("ballcover.cli.greedy_maximal_dictionary", refuse)
+    monkeypatch.setattr("ballcover.cli.certified_dictionary_cover", refuse)
     argv = ["cover", "build", "--construction", name, "--d", "3", "--p", "4", "--mu", "0.5"]
     assert main(argv) == 1
 
