@@ -131,13 +131,21 @@ def _cmd_dict_coherence(args):
 def _dictionary_cover(args, space, cover):
     # the dict-* constructions (cover(dictionary, mu) -> BallCovering) run the
     # library's one dictionary pipeline; a cover it does not certify is still
-    # written, and cover build exits 2, as cover verify does with a failing report
+    # written, and cover build exits 2, as cover verify does with a failing
+    # report, after one stderr note naming the failed steps
     if args.mu is None:
         raise ValueError(f"construction {args.construction!r} needs --mu")
     cov, _, _, hardened, report = certified_dictionary_cover(
         space, args.mu, args.seed, lambda d: cover(d, args.mu)
     )
-    return cov, hardened and report.passed
+    failed = [step for step, ok in (("hardening", hardened), ("final sampling", report.passed)) if not ok]
+    if failed:
+        print(
+            f"note: cover not certified: {' and '.join(failed)} failed; "
+            f"sampled worst margin {report.worst_margin!r}",
+            file=sys.stderr,
+        )
+    return cov, not failed
 
 
 # name -> (needs p = 2, builder(args, space) -> (BallCovering, certified))

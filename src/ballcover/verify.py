@@ -12,8 +12,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .coverings import BallCovering
 from .dictionaries import Dictionary, _Admission, greedy_maximal_dictionary
@@ -98,6 +96,14 @@ def _in_two(parts: list, run) -> None:
     future.result()
 
 
+def cdist(xa, xb, **kwargs) -> np.ndarray:
+    """scipy.spatial.distance.cdist, imported on the first call, so that
+    importing ballcover loads no SciPy; linf_vertex_check calls it."""
+    from scipy.spatial.distance import cdist as scipy_cdist
+
+    return scipy_cdist(xa, xb, **kwargs)
+
+
 def _coordinate_sum(terms: np.ndarray) -> np.ndarray:
     # sum over axis 0 in coordinate order, as cdist does; numpy would sum a
     # lone column pairwise, and accumulate keeps the order there too
@@ -118,8 +124,13 @@ def _nearest_to(space: LpSpace, centers):
     inf_p = math.isinf(p)
     coords = np.ascontiguousarray(centers.T)
     sq = np.einsum("ij,ij->i", centers, centers) if p == 2.0 else None
-    # cKDTree refuses a non-finite center; without a tree every row goes through the blocks
-    tree = cKDTree(centers) if inf_p and np.isfinite(centers).all() else None
+    # cKDTree refuses a non-finite center; without a tree every row goes through
+    # the blocks. SciPy loads here, on the first p = inf query, not at import.
+    tree = None
+    if inf_p and np.isfinite(centers).all():
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(centers)
     # per row: for p = 2 the scores, then the differences to the selected
     # centers; else one term |x_k - c_k| per coordinate and center
     width = m + d if p == 2.0 else d * m
@@ -209,7 +220,8 @@ def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
     finite p their powers p are added in coordinate order and compared, and
     the root is taken once per row; for p = inf their max is the distance,
     so that a NaN propagates (cdist would drop it). For p = inf a k-d tree
-    of the centers (cKDTree) first returns each row's two nearest; their
+    of the centers (SciPy's cKDTree, imported on the first p = inf query)
+    first returns each row's two nearest; their
     distances are maxima of exact |x_k - c_k|, the blocks' bits. Only rows
     whose two are not strictly ordered (ties, duplicate centers), rows with
     a NaN or inf, and every row when a center is not finite go through the
@@ -424,7 +436,12 @@ def linf_vertex_check(
     """Check both directions of the 2**d covering count for the l_inf ball.
 
     (a) the 2**d half-vertex centers s/2, s in {-1, 1}**d, cover sampled
-    points of the unit cube with strictly positive margin at open radius 1;
+    points of the unit cube with strictly positive margin at open radius 1.
+    Each sample x is assigned its center: the l_inf distance
+    max_k |x_k - s_k/2| is separable in s, so its minimum over s is
+    max_k min(|x_k - 1/2|, |x_k + 1/2|) = max_k ||x_k| - 1/2|, attained at
+    s = sign(x) (either sign where x_k = 0). The margin is 1 minus that, the
+    exact distance to the nearest center, with no search over the centers.
     (b) an open l_inf ball of radius 1 contains at most one cube vertex of
     {-1, 1}**d, checked exhaustively for n_centers random ball centers; two
     distinct vertices differ by exactly 2 in some coordinate, so at least
@@ -432,16 +449,21 @@ def linf_vertex_check(
     """
     if not 1 <= d <= 20:
         raise ValueError(f"d must lie in [1, 20], got {d}")
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    if n_centers < 1:
+        raise ValueError("need at least one ball center")
     space = LpSpace(d, math.inf)
-    vertices = ((np.arange(1 << d)[:, None] >> np.arange(d)[None, :]) & 1) * 2.0 - 1.0
-    cov = BallCovering(
-        space, 0.5 * vertices, 1.0, closed=False, provenance=f"linf-vertices(d={d})"
-    )
     rng = np.random.default_rng(seed)
     samples = ball_from_rng(space, n_samples, rng)
-    margins = cov.radius - min_distances(cov, samples)
-    min_margin = float(np.min(margins))
+    # ||x_k| - 1/2| rounds as |x_k - sign(x_k)/2| does, so these are the bits
+    # of a nearest-center query; 1 - t is monotone, so the least margin is 1 - max
+    gaps = np.abs(samples)
+    gaps -= 0.5
+    np.abs(gaps, out=gaps)
+    min_margin = 1.0 - float(gaps.max())
 
+    vertices = ((np.arange(1 << d)[:, None] >> np.arange(d)[None, :]) & 1) * 2.0 - 1.0
     ball_centers = rng.uniform(-2.0, 2.0, size=(n_centers, d))
     max_in_ball = 0
     rows = max(1, _BLOCK_ENTRIES >> d)
@@ -460,7 +482,7 @@ def linf_vertex_check(
         center_count=1 << d,
         samples_tested=n_samples,
         min_sample_margin=min_margin,
-        samples_covered=covered(cov, min_margin),
+        samples_covered=min_margin > 0.0,  # open balls: the rule of covered()
         centers_tested=n_centers,
         max_vertices_per_ball=max_in_ball,
         vertex_pair_distance=pair_distance,

@@ -1,5 +1,5 @@
-"""The package's public names: every ``__all__`` entry resolves, and the
-package root exposes only its submodules."""
+"""The package's public names: every ``__all__`` entry resolves, the
+package root exposes only its submodules, and SciPy loads only on first use."""
 
 import importlib
 import inspect
@@ -38,3 +38,51 @@ def test_package_imports_are_public():
     fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert fresh.stdout.split() == MODULES
     assert len(MODULES) == 8
+
+
+def _fresh(code: str) -> str:
+    # run code in a new interpreter; its stdout
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_import_loads_no_scipy():
+    code = f"import sys; import ballcover, ballcover.cli; print({_SCIPY_LOADED})"
+    assert _fresh(code).strip() == "[]"
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    # a None entry makes every import of scipy raise ImportError; only
+    # p = inf work needs it, so these commands must not touch it
+    cover = tmp_path / "axis.json"
+    runs = [
+        ["bounds", "table", "--d", "8", "--p", "2", "--delta-grid", "0.01:0.2:4"],
+        ["hadamard", "--order", "8"],
+        ["cover", "build", "--construction", "axis", "--d", "5", "--out", str(cover)],
+        ["cover", "verify", "--in", str(cover), "--samples", "500", "--adversarial", "2", "--steps", "5"],
+    ]
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from ballcover.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    code = main(argv)\n"
+        "    assert code == 0, (argv, code)\n"
+    )
+    _fresh(code)
+    assert cover.exists()
+
+
+def test_linf_nearest_loads_scipy_spatial():
+    code = (
+        "import sys, math\n"
+        "from ballcover.spaces import LpSpace\n"
+        "from ballcover.verify import nearest\n"
+        f"before = {_SCIPY_LOADED}\n"
+        "index, dist = nearest(LpSpace(2, math.inf), [[0.4, -0.1]], [[0.5, 0.5], [0.5, -0.5]])\n"
+        "print(before, 'scipy.spatial' in sys.modules, index.tolist(), dist.tolist())\n"
+    )
+    assert _fresh(code).strip() == "[] True [1] [0.4]"

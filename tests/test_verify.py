@@ -684,6 +684,98 @@ def test_linf_vertex_check_guard():
         linf_vertex_check(21)
 
 
+@pytest.mark.parametrize("counts", [{"n_samples": 0}, {"n_samples": -1}])
+def test_linf_vertex_check_needs_a_sample(counts):
+    with pytest.raises(ValueError, match="need at least one sample"):
+        linf_vertex_check(3, **counts)
+
+
+@pytest.mark.parametrize("counts", [{"n_centers": 0}, {"n_centers": -1}])
+def test_linf_vertex_check_needs_a_ball_center(counts):
+    # part (b) would otherwise pass having tested no center
+    with pytest.raises(ValueError, match="need at least one ball center"):
+        linf_vertex_check(3, **counts)
+
+
+def _half_vertices(d):
+    return 0.5 * (((np.arange(1 << d)[:, None] >> np.arange(d)[None, :]) & 1) * 2.0 - 1.0)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_linf_vertex_margin_is_the_nearest_center_margin(d):
+    # part (a) assigns each sample its center sign(x)/2 instead of searching;
+    # its margin is that of the nearest-center query over all 2**d centers
+    space = LpSpace(d, math.inf)
+    n_samples = 300
+    for seed in (3, 40, 500 + d):
+        report = linf_vertex_check(d, n_samples=n_samples, n_centers=5, seed=seed)
+        xs = ball_from_rng(space, n_samples, np.random.default_rng(seed))
+        centers = _half_vertices(d)
+        expected = 1.0 - nearest(space, xs, centers)[1].max()
+        assert report.min_sample_margin.hex() == expected.hex()
+        if d <= 8:
+            # every center in turn, the distance as max_k |x_k - c_k|
+            least = np.full(n_samples, np.inf)
+            for c in centers:
+                np.minimum(least, np.max(np.abs(xs - c), axis=1), out=least)
+            assert report.min_sample_margin.hex() == float(1.0 - least.max()).hex()
+
+
+def test_linf_vertex_margin_at_a_zero_coordinate(monkeypatch):
+    import ballcover.verify as verify
+
+    # x_k = 0 lies at 1/2 from both signs' centers, and every other
+    # coordinate at most 1/2 from its own: the margin is 1/2 exactly
+    xs = np.array([[0.0, 0.3, -0.9], [0.0, 0.0, 0.0], [-0.0, 1.0, -1.0], [0.7, 0.0, -0.2]])
+    monkeypatch.setattr(verify, "ball_from_rng", lambda space, n, rng: xs[:n].copy())
+    for n in range(1, xs.shape[0] + 1):
+        report = linf_vertex_check(3, n_samples=n, n_centers=4, seed=0)
+        assert report.min_sample_margin == 0.5
+        assert report.samples_covered
+        assert 1.0 - nearest(LpSpace(3, math.inf), xs[:n], _half_vertices(3))[1].max() == 0.5
+
+
+@pytest.mark.parametrize(
+    ("d", "n_samples", "n_centers", "seed", "margin"),
+    [
+        # the selftest's linf-vertices check at seeds 0, 1 and 7
+        (2, 2000, 50, 0, "0x1.000571489cc83p-1"),
+        (2, 2000, 50, 1, "0x1.000973514b557p-1"),
+        (2, 2000, 50, 7, "0x1.0019bf7a0628cp-1"),
+        (6, 2000, 50, 0, "0x1.0004083b39176p-1"),
+        (6, 2000, 50, 1, "0x1.000093cd156b8p-1"),
+        (6, 2000, 50, 7, "0x1.00052199c3d3bp-1"),
+        # the certify-bulk benchmark's check
+        (12, 4000, 100, 1, "0x1.00008564131d0p-1"),
+    ],
+)
+def test_linf_vertex_margin_pinned(d, n_samples, n_centers, seed, margin):
+    # recorded when part (a) still queried a k-d tree of the 2**d centers
+    report = linf_vertex_check(d, n_samples=n_samples, n_centers=n_centers, seed=seed)
+    assert report.min_sample_margin.hex() == margin
+    assert report.samples_covered and report.max_vertices_per_ball == 1
+
+
+def test_linf_vertex_check_calls_through_verify_cdist(monkeypatch):
+    import ballcover.verify as verify
+
+    # part (b) calls the module's cdist name, so a wrapper patched there
+    # (as the benchmark's tracer patches it) sees every block
+    calls = []
+    original = verify.cdist
+
+    def spy(xa, xb, **kwargs):
+        calls.append((xa.shape, xb.shape, kwargs))
+        return original(xa, xb, **kwargs)
+
+    monkeypatch.setattr(verify, "cdist", spy)
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 1 << 8)
+    report = linf_vertex_check(4, n_samples=10, n_centers=40, seed=2)
+    assert [shape for shape, _, _ in calls] == [(16, 4)] * 2 + [(8, 4)]
+    assert all(xb == (16, 4) and kwargs == {"metric": "chebyshev"} for _, xb, kwargs in calls)
+    assert report.max_vertices_per_ball == 1
+
+
 def test_certify_maximality_etf_no_augmentation():
     # max_k <x, phi_k> >= ||x||/(2d) = 1/6 > 1/8 on the sphere, so no
     # counterexample can appear
