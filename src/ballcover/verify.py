@@ -172,6 +172,9 @@ def _nearest_to(space: LpSpace, centers):
         if xs.ndim != 2 or xs.shape[1] != d:
             raise ValueError(f"need rows of length {d}, got shape {xs.shape}")
         n = xs.shape[0]
+        if tree is None and n <= block_rows:
+            # one block, whose arrays are the result: no buffers to fill, no parts to run
+            return block(xs, buffers[0])
         index = np.empty(n, dtype=np.intp)
         dist = np.empty(n)
 
@@ -226,8 +229,12 @@ def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
     whose two are not strictly ordered (ties, duplicate centers), rows with
     a NaN or inf, and every row when a center is not finite go through the
     blocks. The per-cover constants are built once per call, and once per
-    cover in the adversarial ascent. A term or score too large for a float
-    is inf, and so is the distance, without a warning.
+    ascent. A query whose rows fit in one block, with no tree, runs that
+    block alone and returns its arrays. A term or score too large for a
+    float is inf, and so is the distance, without a warning. The distance is
+    summed in coordinate order, so it is not the bits of spaces.norms of
+    x - c (a pairwise row sum, as np.linalg.norm), which the ascent's step
+    takes for its subgradient; see adversarial_search.
 
     When two CPUs are available and a query has two blocks or more, a worker
     thread runs the later half of the blocks, with a block buffer of its
@@ -309,13 +316,21 @@ def _norm_gradient(space: LpSpace, z: np.ndarray) -> np.ndarray:
     lengths = norms(space, z)
     ok = lengths > 0.0
     all_ok = bool(ok.all())
+    if not all_ok:
+        lengths = np.where(ok, lengths, 1.0)
     if math.isinf(space.p):
         out = np.zeros(z.shape)
         idx = np.argmax(np.abs(z), axis=1)
         rows = np.arange(z.shape[0])
         out[rows, idx] = np.sign(z[rows, idx])
+    elif space.p == 2.0:
+        # z / ||z||: the bits of _norming's sign(z) |z|^1 / ||z||^1, which maps
+        # z_k = -0.0 to +0.0 (np.sign(-0.0) is +0.0); the 0.0 goes on z, as on
+        # the quotient it would flip a -0.0 underflowed from ||z|| = inf
+        out = z + 0.0
+        out /= lengths[:, None]
     else:
-        out = _norming(space.p, z, lengths if all_ok else np.where(ok, lengths, 1.0))
+        out = _norming(space.p, z, lengths)
     if not all_ok:
         out[~ok] = 0.0
     return out
@@ -324,14 +339,16 @@ def _norm_gradient(space: LpSpace, z: np.ndarray) -> np.ndarray:
 def _ascend(cov: BallCovering, restarts: int, steps: int, seeds):
     # projected subgradient ascent of min-center-distance over the unit
     # sphere, from `restarts` rows per seed stacked in seed order; returns
-    # the per-row best points and distances. Every step is row-wise, so a
+    # the per-row best points and distances. A step gathers each row's
+    # center from the last query, moves x along _norm_gradient(x - c),
+    # rescales it by norms and queries again. Every step is row-wise, so a
     # seed's rows come out as from an ascent of their own; only the p = 2
     # selection score is a BLAS product, whose rounding may depend on the
     # rows beside it, and that can only change the pick within a tie.
     if restarts < 1 or steps < 1:
         raise ValueError("restarts and steps must be positive")
-    space = cov.space
-    query = _nearest_to(space, cov.centers)
+    space, centers = cov.space, cov.centers
+    query = _nearest_to(space, centers)
     x = np.vstack([sphere_from_rng(space, restarts, np.random.default_rng(s)) for s in seeds])
     best_pts = x.copy()
     # a far center overflows a distance to inf and the gradient to NaN (inf / inf),
@@ -339,7 +356,9 @@ def _ascend(cov: BallCovering, restarts: int, steps: int, seeds):
     with np.errstate(over="ignore", invalid="ignore"):
         index, best_vals = query(x)
         for step in range(1, steps + 1):
-            grad = _norm_gradient(space, x - cov.centers[index])
+            z = centers.take(index, axis=0)
+            np.subtract(x, z, out=z)
+            grad = _norm_gradient(space, z)
             grad *= 0.1 / math.sqrt(step)
             x += grad
             x /= norms(space, x)[:, None]
@@ -357,10 +376,19 @@ def adversarial_search(
 
     Returns (point, margin): the sphere point with the largest min-distance
     found and its signed margin radius - distance. Step size 0.1/sqrt(step).
-    Each step makes one nearest() query: its distances score the new points
+    A step takes z = x - c for each row's selected center c, adds the step
+    size times the norm's subgradient at z (the norming functional
+    sign(z_k) |z_k|^(p-1) / ||z||^(p-1), at p = inf the sign of the largest
+    |z_k|, zero where ||z|| is 0 or NaN; at p = 2 computed as
+    (z + 0.0) / ||z||, the same bits), and rescales the rows to the sphere.
+    It then makes one nearest() query: its distances score the new points
     and its indices give the centers the next step moves away from;
-    nearest-center ties break to the lowest index. A center too far for a
-    finite distance gives margin -inf, which fails, without a warning.
+    nearest-center ties break to the lowest index. The step's ||z|| is
+    spaces.norms, a pairwise row sum, while the query's distance is summed
+    in coordinate order as cdist sums it; from 8 coordinates on they can
+    differ in the last bit, so neither replaces the other without changing
+    the path or the margins. A center too far for a finite distance gives
+    margin -inf, which fails, without a warning.
     """
     pts, vals = _ascend(cov, restarts, steps, [seed])
     i = int(np.argmax(vals))
@@ -546,7 +574,10 @@ def harden_dictionary(
     read in round order; at the first round with a violation the later
     rounds are dropped and the next round starts on the augmented cover.
     This gives the rounds and the dictionary of running every round alone.
+    A clean_rounds below 1 is a ValueError, raised before any cover or draw.
     """
+    if clean_rounds < 1:
+        raise ValueError(f"clean_rounds must be positive, got {clean_rounds}")
     core = _Admission(dictionary.space, mu, dictionary.vectors)
     clean = 0
     round_index = 0

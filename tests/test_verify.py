@@ -524,15 +524,95 @@ def test_norm_gradient_bits_match_the_formula(p, d):
     # the ascent's subgradient is the norming functional, with zero rows kept at zero
     space = LpSpace(d, p)
     rng = np.random.default_rng(int(10 * p) + d)
+    # compared as bytes, which tell -0.0 from +0.0: the formula maps a -0.0
+    # coordinate to +0.0, as np.sign(-0.0) is +0.0; rows with a 1e300
+    # coordinate have length inf, their other coordinates a quotient of 0
     z = rng.standard_normal((40, d))
     z[rng.random((40, d)) < 0.1] = 0.0
+    z[rng.random((40, d)) < 0.1] = -0.0
     z[[5, 17]] = 0.0
-    lengths = np.linalg.norm(z, ord=p, axis=1)
-    ok = lengths > 0.0
-    want = np.zeros_like(z)
-    want[ok] = np.sign(z[ok]) * np.abs(z[ok]) ** (p - 1.0) / lengths[ok, None] ** (p - 1.0)
-    np.testing.assert_array_equal(_norm_gradient(space, z), want)
-    np.testing.assert_array_equal(norming_coords(space, z[ok]), want[ok])
+    z[9] = -0.0
+    z[[21, 30], 0] = [1e300, -1e300]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lengths = np.linalg.norm(z, ord=p, axis=1)
+        ok = lengths > 0.0
+        want = np.zeros_like(z)
+        want[ok] = np.sign(z[ok]) * np.abs(z[ok]) ** (p - 1.0) / lengths[ok, None] ** (p - 1.0)
+        got = _norm_gradient(space, z)
+        coords = norming_coords(space, z[ok])
+    assert lengths[21] == lengths[30] == math.inf
+    assert got.tobytes() == want.tobytes()
+    assert coords.tobytes() == want[ok].tobytes()
+
+
+def _reference_ascend(cov, restarts, steps, seeds):
+    # the ascent as a loop of the formulas: the step from x - c of the last
+    # query's centers along the norming functional sign(z) |z|^(p-1) / |z|^(p-1)
+    # (at p = inf the sign of the largest |z_k|), zero where |z| is 0 or NaN,
+    # and one full nearest() query per step
+    space, p = cov.space, cov.space.p
+    x = np.vstack([sphere_from_rng(space, restarts, np.random.default_rng(s)) for s in seeds])
+    best_pts = x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        index, best_vals = nearest(space, x, cov.centers)
+        for step in range(1, steps + 1):
+            z = x - cov.centers[index]
+            lengths = np.linalg.norm(z, ord=p, axis=1)
+            ok = lengths > 0.0
+            grad = np.zeros_like(z)
+            if math.isinf(p):
+                rows = np.flatnonzero(ok)
+                k = np.argmax(np.abs(z[rows]), axis=1)
+                grad[rows, k] = np.sign(z[rows, k])
+            else:
+                grad[ok] = np.sign(z[ok]) * np.abs(z[ok]) ** (p - 1.0) / lengths[ok, None] ** (p - 1.0)
+            x = x + grad * (0.1 / math.sqrt(step))
+            x = x / np.linalg.norm(x, ord=p, axis=1)[:, None]
+            index, vals = nearest(space, x, cov.centers)
+            improved = vals > best_vals
+            best_vals = np.where(improved, vals, best_vals)
+            best_pts = np.where(improved[:, None], x, best_pts)
+    return best_pts, best_vals
+
+
+@pytest.fixture(scope="module")
+def dictionary_centers():
+    from ballcover.dictionaries import greedy_maximal_dictionary
+
+    cov = dictionary_cover_l2(greedy_maximal_dictionary(LpSpace(16, 2.0), 0.3, seed=1), 0.3)
+    return cov.centers, cov.radius
+
+
+_ASCENT_CASES = [
+    (case, p) for case in ("dictionary", "own-start-rows", "far") for p in (1.5, 2.0, 3.5, 4.0, math.inf)
+] + [("blocks", 2.0)]
+
+
+@pytest.mark.parametrize("case, p", _ASCENT_CASES)
+def test_ascend_matches_the_reference_loop_bit_for_bit(monkeypatch, dictionary_centers, case, p):
+    import ballcover.verify as verify
+
+    seeds = [5]
+    if case == "dictionary":
+        # the d = 16, mu = 0.3 dictionary cover's centers, three seeds stacked
+        centers, radius = dictionary_centers
+        seeds = [5, 6, 7]
+    elif case == "own-start-rows":
+        # every start row is a center, so the first step's z is zero
+        centers, radius = sphere_from_rng(LpSpace(6, p), 8, np.random.default_rng(5)), 0.9
+    elif case == "far":
+        # every |z| overflows to inf
+        centers, radius = [[1e200] * 5], 0.9
+    else:
+        # more rows than one block, through the split path
+        centers, radius = dictionary_centers
+        seeds = [5, 6, 7]
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 1 << 9)
+    cov = BallCovering(LpSpace(np.shape(centers)[1], p), centers, radius, closed=True, provenance=case)
+    pts, vals = _ascend(cov, 8, 30, seeds)
+    want_pts, want_vals = _reference_ascend(cov, 8, 30, seeds)
+    assert pts.tobytes() == want_pts.tobytes()
+    assert vals.tobytes() == want_vals.tobytes()
 
 
 def test_certify_sampling_strict_open():
@@ -963,8 +1043,19 @@ def test_harden_dictionary_matches_serial_rounds(p, mu, seed, keep, clean_rounds
     np.testing.assert_array_equal(hardened.vectors, ref_d.vectors)
 
 
-def test_harden_dictionary_rejects_empty_budgets():
+def test_harden_dictionary_rejects_empty_budgets(monkeypatch):
+    import ballcover.verify as verify
+
     d = Dictionary(space=LpSpace(2, 2.0), vectors=[[1.0, 0.0]])
     for restarts, steps in ((0, 10), (10, 0)):
         with pytest.raises(ValueError, match="positive"):
             harden_dictionary(d, 0.5, lambda dd: dictionary_cover_l2(dd, 0.5), restarts=restarts, steps=steps)
+
+    # no clean round to certify after: refused before any cover is built or point drawn
+    def no_draws(*args, **kwargs):
+        raise AssertionError("built a cover or drew sphere points before validating clean_rounds")
+
+    monkeypatch.setattr(verify, "sphere_from_rng", no_draws)
+    for clean_rounds in (0, -3):
+        with pytest.raises(ValueError, match="clean_rounds must be positive"):
+            harden_dictionary(d, 0.5, no_draws, clean_rounds=clean_rounds)
