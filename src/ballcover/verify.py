@@ -112,10 +112,23 @@ def _coordinate_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=0)[-1]
 
 
+def _raise_terms(terms: np.ndarray, p: float) -> None:
+    # |x_k - c_k|^p in place, for finite p; at p = 2 and 4 as squares, which
+    # np.power does not give bit for bit at 4
+    if p == 2.0 or p == 4.0:
+        np.square(terms, out=terms)
+        if p == 4.0:
+            np.square(terms, out=terms)
+    else:
+        np.abs(terms, out=terms)
+        np.power(terms, p, out=terms)
+
+
 def _nearest_to(space: LpSpace, centers):
     """The nearest-center query of nearest(), with the per-cover constants
-    (the k-d tree for p = inf, the transposed centers, |c|^2 for p = 2, a
-    block buffer) built once, and one block function for every p."""
+    (the k-d tree for p = inf, the transposed centers, the score's weights
+    for p = 2 and 4, a block buffer) built once, and one block function per
+    cover."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     d = space.d
     if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != d:
@@ -123,7 +136,25 @@ def _nearest_to(space: LpSpace, centers):
     m, p = centers.shape[0], space.p
     inf_p = math.isinf(p)
     coords = np.ascontiguousarray(centers.T)
-    sq = np.einsum("ij,ij->i", centers, centers) if p == 2.0 else None
+    # at p = 2 and 4, sum_k (x_k - c_k)^p is sum_k x_k^p, the same for every
+    # center, plus a score: -p times the row powers (x at p = 2, [x^3, x^2, x]
+    # at p = 4) times the weights (c, or c, -1.5 c^2 and c^3), plus
+    # sum_k c_k^p. At p = 2 the weights are coords itself, so that a query
+    # allocates no copy of the centers beside it. sum_k c_k^p is finite only
+    # when every center and its lower powers are; where it is not, every
+    # row's score would fail the check in scored(), so the cover goes
+    # through the exact block at once.
+    weights = None
+    if p == 2.0:
+        weights, half = coords, centers
+    elif p == 4.0:
+        square = coords * coords
+        weights = np.concatenate([coords, -1.5 * square, square * coords])
+        half = centers * centers
+    if weights is not None:
+        offset = np.einsum("ij,ij->i", half, half)
+        if not np.isfinite(offset).all():
+            weights = None
     # cKDTree refuses a non-finite center; without a tree every row goes through
     # the blocks. SciPy loads here, on the first p = inf query, not at import.
     tree = None
@@ -131,41 +162,62 @@ def _nearest_to(space: LpSpace, centers):
         from scipy.spatial import cKDTree
 
         tree = cKDTree(centers)
-    # per row: for p = 2 the scores, then the differences to the selected
-    # centers; else one term |x_k - c_k| per coordinate and center
-    width = m + d if p == 2.0 else d * m
-    block_rows = max(1, _BLOCK_ENTRIES // width)
-    size = block_rows * (m if p == 2.0 else width)
+    # per row: in the exact block one term |x_k - c_k| per coordinate and
+    # center; with the score, the scores and the row powers in the buffer
+    # (p = 2 multiplies x itself), and the differences to the selected centers
+    exact_rows = max(1, _BLOCK_ENTRIES // (d * m))
+    if weights is None:
+        block_rows, size = exact_rows, exact_rows * d * m
+    else:
+        width = m + (0 if p == 2.0 else 3 * d)
+        block_rows = max(1, _BLOCK_ENTRIES // (width + d))
+        size = block_rows * width
     # one buffer per thread; the worker's is allocated here, on its first use
     buffers = [np.empty(size)]
 
-    def block(x, buf) -> tuple[np.ndarray, np.ndarray]:
+    def exact(x, buf) -> tuple[np.ndarray, np.ndarray]:
         r = x.shape[0]
-        if p == 2.0:
-            score = np.matmul(x, coords, out=buf[: r * m].reshape(r, m))
-            score *= -2.0
-            score += sq
-            i = score.argmin(axis=1)
-            # coordinates along axis 0, the axis _coordinate_sum adds along
-            diff = coords.take(i, axis=1)
-            diff -= x.T
-            diff *= diff
-            return i, np.sqrt(_coordinate_sum(diff))
         # a contiguous block, so that power runs numpy's contiguous loop at every size
         terms = buf[: d * r * m].reshape(d, r, m)
         np.subtract(x.T[:, :, None], coords[:, None, :], out=terms)
-        if p == 4.0:
-            np.square(terms, out=terms)
-            np.square(terms, out=terms)
-        else:
+        if inf_p:
             np.abs(terms, out=terms)
-            if not inf_p:
-                np.power(terms, p, out=terms)
+        else:
+            _raise_terms(terms, p)
         # the max propagates a NaN, unlike cdist's Chebyshev distance
         sums = terms.max(axis=0) if inf_p else _coordinate_sum(terms)
         i = sums.argmin(axis=1)
         least = sums[np.arange(r), i]
         return i, least if inf_p else least ** (1.0 / p)
+
+    def scored(x, buf) -> tuple[np.ndarray, np.ndarray]:
+        r = x.shape[0]
+        powers = x
+        if p == 4.0:
+            powers = buf[r * m : r * (m + 3 * d)].reshape(r, 3 * d)
+            powers[:, 2 * d :] = x
+            np.multiply(x, x, out=powers[:, d : 2 * d])
+            np.multiply(powers[:, d : 2 * d], x, out=powers[:, :d])
+        score = np.matmul(powers, weights, out=buf[: r * m].reshape(r, m))
+        score *= -p
+        score += offset
+        i = score.argmin(axis=1)
+        # a NaN or inf row, or an overflow, leaves a NaN or an inf among the
+        # row's scores, and so in their sum and in the block's sum of squares
+        # (one BLAS call); such rows take the exact block's pick
+        flat = score.reshape(-1)
+        if not math.isfinite(flat @ flat):
+            slow = np.flatnonzero(~np.isfinite(score.sum(axis=1)))
+            for lo in range(0, slow.size, exact_rows):
+                rows = slow[lo : lo + exact_rows]
+                i[rows] = exact(x[rows], np.empty(d * rows.size * m))[0]
+        # coordinates along axis 0, the axis _coordinate_sum adds along
+        diff = coords.take(i, axis=1)
+        diff -= x.T
+        _raise_terms(diff, p)
+        return i, _coordinate_sum(diff) ** (1.0 / p)
+
+    block = exact if weights is None else scored
 
     def query(xs) -> tuple[np.ndarray, np.ndarray]:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -216,12 +268,20 @@ def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
     """Index of and lp distance to the nearest center, for each row of xs.
 
     Ties break to the lowest index. Rows go through in blocks whose
-    temporaries together fit in the L2 cache. For p = 2 one GEMM score
-    |c|^2 - 2 x.c selects the center, and the distance is then computed
-    directly from x - c, so the cancellation in the score never reaches a
-    margin. For every other p a block holds every term |x_k - c_k|: for
-    finite p their powers p are added in coordinate order and compared, and
-    the root is taken once per row; for p = inf their max is the distance,
+    temporaries together fit in the L2 cache. For p = 2 and p = 4 one GEMM
+    score selects the center: sum_k (x_k - c_k)^p less the row's own
+    sum_k x_k^p, i.e. |c|^2 - 2 x.c at p = 2, and at p = 4 the row powers
+    [x^3, x^2, x] times the weights [-4c; 6c^2; -4c^3] plus sum_k c_k^4. The
+    distance is then computed for the selected center only, directly from
+    x - c with the exact block's terms, so the cancellation in the score
+    never reaches a margin; the pick can differ from the exact block's only
+    where two centers' power sums lie within the score's rounding. A cover
+    whose sum_k c_k^p is not finite (a center that is not finite, or whose
+    powers overflow) goes through the exact block, and so does each row
+    whose scores are not all finite (NaN or inf rows, huge rows). For every
+    other p the exact block holds every term |x_k - c_k|: for finite p
+    their powers p are added in coordinate order and compared, and the root
+    is taken once per row; for p = inf their max is the distance,
     so that a NaN propagates (cdist would drop it). For p = inf a k-d tree
     of the centers (SciPy's cKDTree, imported on the first p = inf query)
     first returns each row's two nearest; their
@@ -244,7 +304,7 @@ def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
     those of running the blocks in turn, as on one CPU.
     """
     # once per call, not per block: each errstate costs microseconds
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return _nearest_to(space, centers)(xs)
 
 
@@ -257,7 +317,7 @@ def covered(cov: BallCovering, margins, tol: float = PASS_TOL):
 
 def min_distances(cov: BallCovering, xs) -> np.ndarray:
     """Distance from each row of xs to its nearest center of cov, as nearest()
-    computes it: never from the p = 2 selection score, always from x - c."""
+    computes it: never from the p = 2 or 4 selection score, always from x - c."""
     return nearest(cov.space, xs, cov.centers)[1]
 
 
@@ -342,21 +402,26 @@ def _ascend(cov: BallCovering, restarts: int, steps: int, seeds):
     # the per-row best points and distances. A step gathers each row's
     # center from the last query, moves x along _norm_gradient(x - c),
     # rescales it by norms and queries again. Every step is row-wise, so a
-    # seed's rows come out as from an ascent of their own; only the p = 2
-    # selection score is a BLAS product, whose rounding may depend on the
+    # seed's rows come out as from an ascent of their own; only the p = 2 and
+    # 4 selection score is a BLAS product, whose rounding may depend on the
     # rows beside it, and that can only change the pick within a tie.
     if restarts < 1 or steps < 1:
         raise ValueError("restarts and steps must be positive")
     space, centers = cov.space, cov.centers
-    query = _nearest_to(space, centers)
+    # a C-ordered copy to gather rows from, as take copies all of an
+    # F-ordered array (the frame covers'); the query keeps the cover's own
+    # centers, whose |c|^2 is summed in their order
+    rows = np.ascontiguousarray(centers)
     x = np.vstack([sphere_from_rng(space, restarts, np.random.default_rng(s)) for s in seeds])
     best_pts = x.copy()
-    # a far center overflows a distance to inf and the gradient to NaN (inf / inf),
-    # and a NaN distance never improves; once per call, as errstate costs microseconds
+    # a far center overflows its score's weights, a distance to inf and the
+    # gradient to NaN (inf / inf), and a NaN distance never improves; once
+    # per call, as errstate costs microseconds
     with np.errstate(over="ignore", invalid="ignore"):
+        query = _nearest_to(space, centers)
         index, best_vals = query(x)
         for step in range(1, steps + 1):
-            z = centers.take(index, axis=0)
+            z = rows.take(index, axis=0)
             np.subtract(x, z, out=z)
             grad = _norm_gradient(space, z)
             grad *= 0.1 / math.sqrt(step)
@@ -574,10 +639,13 @@ def harden_dictionary(
     read in round order; at the first round with a violation the later
     rounds are dropped and the next round starts on the augmented cover.
     This gives the rounds and the dictionary of running every round alone.
-    A clean_rounds below 1 is a ValueError, raised before any cover or draw.
+    A clean_rounds, restarts or steps below 1 is a ValueError, raised
+    before any cover or draw.
     """
     if clean_rounds < 1:
         raise ValueError(f"clean_rounds must be positive, got {clean_rounds}")
+    if restarts < 1 or steps < 1:
+        raise ValueError("restarts and steps must be positive")
     core = _Admission(dictionary.space, mu, dictionary.vectors)
     clean = 0
     round_index = 0

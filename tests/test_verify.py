@@ -12,8 +12,11 @@ from scipy.spatial.distance import cdist
 from ballcover.coverings import (
     BallCovering,
     axis_cover,
+    basis_cover,
     dictionary_cover_banach,
     dictionary_cover_l2,
+    etf_cover,
+    iterate_cover,
     simplex_cover_shrunk,
     simplex_cover_unit,
 )
@@ -78,19 +81,31 @@ def test_nearest_tie_breaks_to_lowest_index(p):
     index, dist = nearest(LpSpace(2, p), [[0.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]])
     assert index[0] == 0
     assert dist[0] == 1.0
+    # x_1 = 0 is as far from a e_1 as from -a e_1, in the p = 2 and 4 score
+    # as in the power sums, for centers as close to the origin as the covers'
+    d, a = 8, 1.0 / 256.0
+    xs = ball_from_rng(LpSpace(d, p), 300, np.random.default_rng(93))
+    xs[:, 0] = 0.0
+    pair = np.zeros((2, d))
+    pair[:, 0] = [a, -a]
+    index, dist = nearest(LpSpace(d, p), xs, pair)
+    assert (index == 0).all()
+    assert dist.tobytes() == nearest(LpSpace(d, p), xs, pair[:1])[1].tobytes()
 
 
 def _coordinate_loop_nearest(p, xs, centers):
-    # finite p != 2: power sums accumulated one coordinate at a time over
-    # (rows, centers) arrays, the order the kernel's blocks must reproduce
+    # finite p: power sums accumulated one coordinate at a time over (rows,
+    # centers) arrays, the order of the kernel's exact blocks and of its
+    # distance to the center the p = 2 and 4 score selects
     coords = np.ascontiguousarray(centers.T)
     sums = np.zeros((xs.shape[0], centers.shape[0]))
     term = np.empty_like(sums)
     for k in range(xs.shape[1]):
         np.subtract(xs[:, k, None], coords[k], out=term)
-        if p == 4.0:
+        if p in (2.0, 4.0):
             np.square(term, out=term)
-            np.square(term, out=term)
+            if p == 4.0:
+                np.square(term, out=term)
         else:
             np.abs(term, out=term)
             np.power(term, p, out=term)
@@ -105,7 +120,7 @@ def test_nearest_matches_coordinate_loop_bit_for_bit(p):
     d, m = 6, 40
     centers = rng.standard_normal((m, d))
     centers[17] = centers[5]  # a tie, which goes to the lower index
-    # three full blocks and a partial one
+    # three full blocks of terms and a partial one; one block of p = 4 scores
     n = 3 * (_BLOCK_ENTRIES // (d * m)) + 5
     xs = rng.standard_normal((n, d))
     xs[:4] = centers[5] + 1e-3 * rng.standard_normal((4, d))
@@ -131,9 +146,9 @@ def test_nearest_single_center_sums_in_coordinate_order(p):
         np.testing.assert_array_equal(dist, ref_dist)
 
 
-def test_nearest_euclidean_distance_free_of_cancellation():
-    # the GEMM score |c|^2 - 2 x.c loses about 1e-16 * |c|^2 absolute, which
-    # would swamp a distance of 1e-7; the returned distance must not
+def _assert_distance_free_of_cancellation(p):
+    # the GEMM score (|c|^2 - 2 x.c at p = 2) loses about 1e-16 * |c|^p
+    # absolute, which would swamp a distance of 1e-7; the returned distance must not
     rng = np.random.default_rng(71)
     d = 8
     centers = rng.standard_normal((40, d))
@@ -141,17 +156,82 @@ def test_nearest_euclidean_distance_free_of_cancellation():
     offsets = rng.standard_normal((30, d))
     offsets *= rng.uniform(1e-9, 1e-7, size=(30, 1)) / np.linalg.norm(offsets, axis=1)[:, None]
     xs = centers[:30] + offsets
-    index, dist = nearest(LpSpace(d, 2.0), xs, centers)
+    index, dist = nearest(LpSpace(d, p), xs, centers)
     np.testing.assert_array_equal(index, np.arange(30))
-    best = cdist(xs, centers).min(axis=1)
+    best = _cdist(p, xs, centers).min(axis=1)
     assert np.max(np.abs(dist - best) / best) <= 1e-14
 
 
+def test_nearest_euclidean_distance_free_of_cancellation():
+    _assert_distance_free_of_cancellation(2.0)
+
+
+def test_nearest_l4_distance_free_of_cancellation():
+    _assert_distance_free_of_cancellation(4.0)
+
+
 def test_nearest_shape_errors():
-    with pytest.raises(ValueError):
-        nearest(LpSpace(2, 2.0), [[0.0, 0.0]], np.empty((0, 2)))
-    with pytest.raises(ValueError):
-        nearest(LpSpace(2, 2.0), [[0.0, 0.0]], [[0.0, 0.0, 0.0]])
+    for p in (2.0, 4.0):
+        with pytest.raises(ValueError):
+            nearest(LpSpace(2, p), [[0.0, 0.0]], np.empty((0, 2)))
+        with pytest.raises(ValueError):
+            nearest(LpSpace(2, p), [[0.0, 0.0]], [[0.0, 0.0, 0.0]])
+
+
+def _near_origin_centers(d, a):
+    # +-a e_j, the axis centers of a cover by balls of radius close to one
+    return np.vstack([a * np.identity(d), -a * np.identity(d)])
+
+
+def _assert_loop_bits(p, xs, centers):
+    index, dist = nearest(LpSpace(centers.shape[1], p), xs, centers)
+    ref_index, ref_dist = _coordinate_loop_nearest(p, xs, centers)
+    assert index.tobytes() == ref_index.tobytes()
+    assert dist.tobytes() == ref_dist.tobytes()
+    return index
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_nearest_score_matches_coordinate_loop_near_the_origin(p):
+    # the score picks the center, the distance comes from x - c: both in the
+    # bits of the exact power sums, for centers as close to the origin as the
+    # covers' (a = 1/256 for the d = 8 basis cover, 1/64 for dictionary covers)
+    d = 8
+    space = LpSpace(d, p)
+    xs = ball_from_rng(space, 4000, np.random.default_rng(90))
+    _assert_loop_bits(p, xs, _near_origin_centers(d, 1.0 / 256.0))
+    _assert_loop_bits(p, xs, iterate_cover(basis_cover(space), 2).centers)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_nearest_far_center_never_wins(p):
+    # a center whose powers overflow leaves the cover to the exact block,
+    # where its terms are inf; under warnings-as-errors a warning would raise
+    d = 5
+    near = _near_origin_centers(d, 1.0 / 64.0)
+    centers = np.vstack([[1e200] * d, near])
+    xs = ball_from_rng(LpSpace(d, p), 500, np.random.default_rng(91))
+    index, dist = nearest(LpSpace(d, p), xs, centers)
+    ref_index, ref_dist = _coordinate_loop_nearest(p, xs, near)
+    assert (index - 1).tobytes() == ref_index.tobytes()
+    assert dist.tobytes() == ref_dist.tobytes()
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_nearest_non_finite_and_huge_rows_take_the_exact_block(p):
+    # their scores hold a NaN or an inf (the huge row's at p = 4 only); the
+    # exact block gives each of them index 0, where argmin would take a later
+    # NaN or -inf, and the rows beside them keep the score's bits, with no warning
+    d = 5
+    centers = _near_origin_centers(d, 1.0 / 64.0)
+    xs = ball_from_rng(LpSpace(d, p), 40, np.random.default_rng(92))
+    xs[3] = 1e308
+    xs[7] = np.nan
+    xs[11, 0] = -np.inf
+    xs[19, 2] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        index = _assert_loop_bits(p, xs, centers)
+    assert (index[[3, 7, 11, 19]] == 0).all()
 
 
 def _chebyshev_row_by_row(xs, centers):
@@ -250,10 +330,13 @@ def test_chebyshev_nearest_propagates_nan_and_inf(monkeypatch):
 
 @pytest.mark.parametrize("p", [2.0, 3.5, 4.0, math.inf])
 def test_nearest_overflow_is_inf_without_a_warning(p):
-    # x - c, the p = 2 score and the power terms all overflow here; under
-    # the suite's warnings-as-errors filter a warning would raise
+    # x - c, the score and the power terms all overflow here, with a huge
+    # center or a huge row; under the suite's warnings-as-errors filter a
+    # warning would raise
     index, dist = nearest(LpSpace(5, p), [[1e308] * 5], [[-1e308] * 5])
     assert index.tolist() == [0] and dist.tolist() == [math.inf]
+    index, dist = nearest(LpSpace(5, p), [[1e308] * 5, [0.5] * 5], [[0.25] * 5, [-0.25] * 5])
+    assert index.tolist() == [0, 0] and dist[0] == (1e308 if math.isinf(p) else math.inf)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.5, 4.0, math.inf])
@@ -611,6 +694,19 @@ def test_ascend_matches_the_reference_loop_bit_for_bit(monkeypatch, dictionary_c
     cov = BallCovering(LpSpace(np.shape(centers)[1], p), centers, radius, closed=True, provenance=case)
     pts, vals = _ascend(cov, 8, 30, seeds)
     want_pts, want_vals = _reference_ascend(cov, 8, 30, seeds)
+    assert pts.tobytes() == want_pts.tobytes()
+    assert vals.tobytes() == want_vals.tobytes()
+
+
+def test_ascend_gathers_the_same_bits_from_f_ordered_centers():
+    # the frame cover's centers are F-ordered; the ascent gathers its rows
+    # from a C-ordered copy, and must give the bits of a C-ordered cover
+    cov = etf_cover(255)[0]
+    assert not cov.centers.flags.c_contiguous
+    copy = BallCovering(cov.space, np.ascontiguousarray(cov.centers), cov.radius, cov.closed, "c-ordered")
+    assert copy.centers.flags.c_contiguous
+    pts, vals = _ascend(cov, 5, 20, [3, 4])
+    want_pts, want_vals = _ascend(copy, 5, 20, [3, 4])
     assert pts.tobytes() == want_pts.tobytes()
     assert vals.tobytes() == want_vals.tobytes()
 
@@ -1047,15 +1143,16 @@ def test_harden_dictionary_rejects_empty_budgets(monkeypatch):
     import ballcover.verify as verify
 
     d = Dictionary(space=LpSpace(2, 2.0), vectors=[[1.0, 0.0]])
-    for restarts, steps in ((0, 10), (10, 0)):
-        with pytest.raises(ValueError, match="positive"):
-            harden_dictionary(d, 0.5, lambda dd: dictionary_cover_l2(dd, 0.5), restarts=restarts, steps=steps)
 
-    # no clean round to certify after: refused before any cover is built or point drawn
+    # every budget is refused before any cover is built or point drawn
     def no_draws(*args, **kwargs):
-        raise AssertionError("built a cover or drew sphere points before validating clean_rounds")
+        raise AssertionError("built a cover or drew sphere points before validating the budgets")
 
     monkeypatch.setattr(verify, "sphere_from_rng", no_draws)
+    for restarts, steps in ((0, 10), (10, 0), (-1, 10)):
+        with pytest.raises(ValueError, match="restarts and steps must be positive"):
+            harden_dictionary(d, 0.5, no_draws, restarts=restarts, steps=steps)
+    # no clean round to certify after
     for clean_rounds in (0, -3):
         with pytest.raises(ValueError, match="clean_rounds must be positive"):
             harden_dictionary(d, 0.5, no_draws, clean_rounds=clean_rounds)
