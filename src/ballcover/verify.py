@@ -126,9 +126,8 @@ def _raise_terms(terms: np.ndarray, p: float) -> None:
 
 def _nearest_to(space: LpSpace, centers):
     """The nearest-center query of nearest(), with the per-cover constants
-    (the k-d tree for p = inf, the transposed centers, the score's weights
-    for p = 2 and 4, a block buffer) built once, and one block function per
-    cover."""
+    (the transposed centers, the score's weights for p = 2 and 4, a block
+    buffer) built once, and one block function per cover."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     d = space.d
     if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != d:
@@ -155,13 +154,6 @@ def _nearest_to(space: LpSpace, centers):
         offset = np.einsum("ij,ij->i", half, half)
         if not np.isfinite(offset).all():
             weights = None
-    # cKDTree refuses a non-finite center; without a tree every row goes through
-    # the blocks. SciPy loads here, on the first p = inf query, not at import.
-    tree = None
-    if inf_p and np.isfinite(centers).all():
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(centers)
     # per row: in the exact block one term |x_k - c_k| per coordinate and
     # center; with the score, the scores and the row powers in the buffer
     # (p = 2 multiplies x itself), and the differences to the selected centers
@@ -224,7 +216,7 @@ def _nearest_to(space: LpSpace, centers):
         if xs.ndim != 2 or xs.shape[1] != d:
             raise ValueError(f"need rows of length {d}, got shape {xs.shape}")
         n = xs.shape[0]
-        if tree is None and n <= block_rows:
+        if n <= block_rows:
             # one block, whose arrays are the result: no buffers to fill, no parts to run
             return block(xs, buffers[0])
         index = np.empty(n, dtype=np.intp)
@@ -234,29 +226,9 @@ def _nearest_to(space: LpSpace, centers):
             for rows in parts:
                 index[rows], dist[rows] = block(xs[rows], buffers[k])
 
-        # contiguous slices of all rows, so that the ascent's many small
-        # queries copy nothing, or index blocks of the rows the tree cannot rank
-        if tree is None:
-            parts = [slice(lo, lo + block_rows) for lo in range(0, n, block_rows)]
-        else:
-            exact = np.isfinite(xs).all(axis=1)
-            ranked = np.flatnonzero(exact)
-
-            def rank(halves, _):
-                for rows in halves:
-                    two, pair = tree.query(xs[rows], k=2, p=np.inf)
-                    dist[rows] = two[:, 0]
-                    index[rows] = pair[:, 0]
-                    # a Chebyshev distance is a max of exact |x_k - c_k|, so the
-                    # tree's are the blocks' bits; only a tie leaves the index open
-                    exact[rows] = two[:, 0] < two[:, 1]
-
-            # in halves when the rows would fill two blocks
-            cut = (ranked.size + 1) // 2
-            _in_two([ranked[:cut], ranked[cut:]] if ranked.size > block_rows else [ranked], rank)
-            slow = np.flatnonzero(~exact)
-            parts = [slow[lo : lo + block_rows] for lo in range(0, slow.size, block_rows)]
-        if len(parts) > 1 and len(buffers) == 1:
+        # contiguous slices, so that the ascent's many small queries copy nothing
+        parts = [slice(lo, lo + block_rows) for lo in range(0, n, block_rows)]
+        if len(buffers) == 1:
             buffers.append(np.empty(size))
         _in_two(parts, blocks)
         return index, dist
@@ -281,27 +253,21 @@ def nearest(space: LpSpace, xs, centers) -> tuple[np.ndarray, np.ndarray]:
     whose scores are not all finite (NaN or inf rows, huge rows). For every
     other p the exact block holds every term |x_k - c_k|: for finite p
     their powers p are added in coordinate order and compared, and the root
-    is taken once per row; for p = inf their max is the distance,
-    so that a NaN propagates (cdist would drop it). For p = inf a k-d tree
-    of the centers (SciPy's cKDTree, imported on the first p = inf query)
-    first returns each row's two nearest; their
-    distances are maxima of exact |x_k - c_k|, the blocks' bits. Only rows
-    whose two are not strictly ordered (ties, duplicate centers), rows with
-    a NaN or inf, and every row when a center is not finite go through the
-    blocks. The per-cover constants are built once per call, and once per
-    ascent. A query whose rows fit in one block, with no tree, runs that
-    block alone and returns its arrays. A term or score too large for a
-    float is inf, and so is the distance, without a warning. The distance is
-    summed in coordinate order, so it is not the bits of spaces.norms of
-    x - c (a pairwise row sum, as np.linalg.norm), which the ascent's step
-    takes for its subgradient; see adversarial_search.
+    is taken once per row; for p = inf their max is the distance, so that a
+    NaN propagates (cdist would drop it). The per-cover constants are built
+    once per call, and once per ascent. A query whose rows fit in one block
+    runs that block alone and returns its arrays. A term or score too large
+    for a float is inf, and so is the distance, without a warning. The
+    distance is summed in coordinate order, so it is not the bits of
+    spaces.norms of x - c (a pairwise row sum, as np.linalg.norm), which the
+    ascent's step takes for its subgradient; see adversarial_search.
 
     When two CPUs are available and a query has two blocks or more, a worker
     thread runs the later half of the blocks, with a block buffer of its
-    own, while the calling thread runs the rest; the tree's rows are split
-    in halves the same way. The block boundaries do not depend on the split,
-    and each row's result depends only on its own block, so the bits are
-    those of running the blocks in turn, as on one CPU.
+    own, while the calling thread runs the rest. The block boundaries do not
+    depend on the split, and each row's result depends only on its own
+    block, so the bits are those of running the blocks in turn, as on one
+    CPU.
     """
     # once per call, not per block: each errstate costs microseconds
     with np.errstate(over="ignore", invalid="ignore"):
@@ -592,10 +558,12 @@ def certify_maximality(dictionary: Dictionary, mu: float, n: int, seed: int) -> 
     (True, dictionary) after n consecutive clean samples, or (False, the
     dictionary as augmented so far) at the first counterexample that fails
     the two-sided admission test: augmentation cannot repair the dictionary.
+    n must be a positive integer.
     """
+    # phrased so that NaN and inf fail, as a non-integer does
+    if not (1 <= n < math.inf and int(n) == n):
+        raise ValueError(f"sample count must be a positive integer, got {n!r}")
     core = _Admission(dictionary.space, mu, dictionary.vectors)
-    if n < 1:
-        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     clean = 0
     while clean < n:

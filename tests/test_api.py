@@ -76,13 +76,29 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     assert cover.exists()
 
 
-def test_linf_nearest_loads_scipy_spatial():
+def test_linf_queries_run_with_scipy_blocked():
+    # p = inf nearest and its ascent on the d = 4 half-vertex cover load no
+    # scipy; linf_vertex_check's part (b) cdist is the one call that does
     code = (
-        "import sys, math\n"
+        "import itertools, math, sys; sys.modules['scipy'] = None\n"
+        "from ballcover.coverings import BallCovering\n"
         "from ballcover.spaces import LpSpace\n"
-        "from ballcover.verify import nearest\n"
-        f"before = {_SCIPY_LOADED}\n"
-        "index, dist = nearest(LpSpace(2, math.inf), [[0.4, -0.1]], [[0.5, 0.5], [0.5, -0.5]])\n"
-        "print(before, 'scipy.spatial' in sys.modules, index.tolist(), dist.tolist())\n"
+        "from ballcover.verify import adversarial_search, linf_vertex_check, nearest\n"
+        "space = LpSpace(4, math.inf)\n"
+        "centers = [[s / 2 for s in v] for v in itertools.product((-1, 1), repeat=4)]\n"
+        "cov = BallCovering(space, centers, 1.0, closed=False, provenance='half-vertices(d=4)')\n"
+        "xs = [[0.25, -0.5, 0.75, 0.0], [0.0, 0.0, 0.0, 0.0], [0.9, -0.1, 0.3, -0.6]]\n"
+        "index, dist = nearest(space, xs, centers)\n"
+        "point, margin = adversarial_search(cov, 5, 20, 0)\n"
+        "print(index.tolist(), dist.tolist(), point.tolist(), margin)\n"
+        "del sys.modules['scipy']\n"
+        f"print({_SCIPY_LOADED})\n"
+        "linf_vertex_check(4, n_samples=10, n_centers=3)\n"
+        "print('scipy.spatial.distance' in sys.modules)\n"
     )
-    assert _fresh(code).strip() == "[] True [1] [0.4]"
+    assert _fresh(code).splitlines() == [
+        "[10, 0, 10] [0.5, 0.5, 0.4] "
+        "[0.28328752041738725, -0.4761663812735139, -0.9494368443698128, -1.0] 0.5",
+        "[]",
+        "True",
+    ]

@@ -6,7 +6,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from ballcover.coverings import (
@@ -249,12 +248,6 @@ def _half_vertices(d):
     return 0.5 * (((np.arange(1 << d)[:, None] >> np.arange(d)[None, :]) & 1) * 2.0 - 1.0)
 
 
-def _tree_misses_lowest(xs, centers, lowest):
-    # rows whose lowest nearest index is not among the tree's own two answers
-    _, pair = cKDTree(centers).query(xs, k=2, p=np.inf)
-    return (pair != lowest[:, None]).all(axis=1)
-
-
 def _assert_chebyshev_bits(xs, centers):
     space = LpSpace(centers.shape[1], math.inf)
     index, dist = nearest(space, xs, centers)
@@ -276,8 +269,7 @@ def test_chebyshev_nearest_is_brute_force_bits_on_the_vertex_lattice():
     for r in range(200):
         xs[r, rng.choice(d, 1 + r % 6, replace=False)] = 0.0
     xs[200] = 0.0  # all 4096 centers at distance 1/2
-    lowest = _assert_chebyshev_bits(xs, centers)
-    assert _tree_misses_lowest(xs[:201], centers, lowest[:201]).any()
+    _assert_chebyshev_bits(xs, centers)
 
 
 def test_chebyshev_nearest_is_brute_force_bits_with_duplicate_centers():
@@ -291,14 +283,13 @@ def test_chebyshev_nearest_is_brute_force_bits_with_duplicate_centers():
     xs[20:40] = centers[5] + 1e-3 * rng.standard_normal((20, d))
     lowest = _assert_chebyshev_bits(xs, centers)
     np.testing.assert_array_equal(lowest[:40], np.repeat([2, 5], 20))
-    assert _tree_misses_lowest(xs[:40], centers, lowest[:40]).any()
 
 
 def test_chebyshev_nearest_single_center():
     rng = np.random.default_rng(77)
     centers = rng.standard_normal((1, 5))
     xs = rng.standard_normal((40, 5))
-    xs[0] = centers[0]  # distance 0, below the tree's missing second answer
+    xs[0] = centers[0]  # distance 0
     assert (_assert_chebyshev_bits(xs, centers) == 0).all()
 
 
@@ -312,8 +303,8 @@ def test_chebyshev_nearest_propagates_nan_and_inf(monkeypatch):
     assert math.isnan(dist[0])
     assert dist[1] == math.inf
     assert (index[2], dist[2]) == (0, 0.5)
-    # a non-finite center sends every row through the blocks: small ones
-    # here, so that three full blocks and a partial one run
+    # a NaN center gives every row a NaN distance; small blocks here, so
+    # that three full blocks and a partial one run
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 1 << 6)
     rng = np.random.default_rng(78)
     centers = rng.standard_normal((4, 2))
@@ -968,6 +959,21 @@ def test_certify_maximality_augments_obvious_gap():
     assert passed
     assert len(augmented) > 1
     assert coherence_banach(augmented) <= 0.5
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, 1.5, 0, -1])
+def test_certify_maximality_refuses_a_bad_sample_count_before_drawing(monkeypatch, n):
+    # refused before any draw: past an `n < 1` check, NaN certifies having
+    # drawn nothing, and 1.5 and inf never stop drawing
+    import ballcover.verify as verify
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew sphere points before validating n")
+
+    monkeypatch.setattr(verify, "sphere_from_rng", no_draws)
+    d = Dictionary(LpSpace(4, 2.0), np.eye(4)[:1])
+    with pytest.raises(ValueError, match="sample count"):
+        certify_maximality(d, 0.5, n, seed=1)
 
 
 def test_certify_maximality_hard_failure_carries_dictionary(monkeypatch):
