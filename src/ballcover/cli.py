@@ -4,7 +4,8 @@ witnesses, bound tables, and a deterministic self-test.
 Exit codes: 0 success, 1 usage or internal error, 2 verification failure.
 The parser is built once per process; each call parses into a new namespace.
 Each command returns (payload, passed); main alone records the seed in the
-payload, writes it and maps the verdict to the exit code. Timing never enters
+payload, writes it through serialize.dump, one pass per sink (the --out file,
+stdout), and maps the verdict to the exit code. Timing never enters
 the JSON, so identical invocations produce byte-identical output.
 """
 
@@ -40,7 +41,7 @@ from .serialize import (
     covering_to_dict,
     dictionary_from_dict,
     dictionary_to_dict,
-    dumps,
+    dump,
 )
 from .spaces import (
     LpSpace,
@@ -463,12 +464,11 @@ def main(argv=None) -> int:
         payload, passed = args.func(args)
         if payload is not None:
             payload["seed"] = args.seed
-            text = dumps(payload)
             if args.out:
                 with open(args.out, "w") as fh:
-                    fh.write(text)
+                    dump(payload, fh)
             if args.json or not args.out:
-                sys.stdout.write(text)
+                dump(payload, sys.stdout)
             else:
                 print(f"wrote {args.out}")
     except (ValueError, OSError, KeyError) as exc:

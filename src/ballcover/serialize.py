@@ -5,15 +5,18 @@ p is written as a number or the string "inf".
 
 Artefact text is ``json.dumps(obj, indent=2, sort_keys=True,
 default=np.ndarray.tolist) + "\n"`` byte for byte; ``dumps`` only produces
-it faster. The payloads keep their bulk (Hadamard rows, frame vectors,
-centers) as numpy arrays, which hold long runs of a few distinct numbers.
+it faster, and ``dump`` writes the same text to a file. The payloads keep
+their bulk (Hadamard rows, frame vectors, centers) as numpy arrays, which
+hold long runs of a few distinct numbers.
 An integer or float array with at least one axis and one element is written
 from the array itself: json formats each distinct value once, each element
 takes the text of its value followed by the separator its position needs,
 and the pieces are joined in blocks of whole rows. Every other array (bool,
 0-d or empty arrays, and other dtypes) is written as its ``tolist()``. Dicts
-and lists are written level by level around them, as pieces joined once at
-the end. Keys are sorted and no set is built, so the text does not depend
+and lists are written level by level around them. One writer passes the
+pieces to an emit callable: ``dumps`` joins them once at the end, and
+``dump`` writes each to its file as it comes, so the largest piece held is
+one block. Keys are sorted and no set is built, so the text does not depend
 on PYTHONHASHSEED.
 """
 
@@ -34,6 +37,7 @@ __all__ = [
     "covering_from_dict",
     "dictionary_to_dict",
     "dictionary_from_dict",
+    "dump",
     "dumps",
 ]
 
@@ -123,54 +127,66 @@ def dumps(obj) -> str:
     holds itself raises RecursionError here; json raises ValueError.
     """
     out: list[str] = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out.append)
     out.append("\n")
     return "".join(out)
 
 
-def _write(obj, nl: str, out: list[str]) -> None:
-    """Append the text of obj to out; nl is a newline and the indentation of
-    the line on which obj starts."""
+def dump(obj, fh) -> None:
+    """Write the text of ``dumps(obj)`` to the text file fh, piece by piece.
+
+    The pairing of ``json.dump`` with ``json.dumps``: the same writer emits
+    the same pieces, so no text of the whole object is built. An object
+    dumps refuses raises here too, after the pieces before it are written.
+    """
+    _write(obj, "\n", fh.write)
+    fh.write("\n")
+
+
+def _write(obj, nl: str, emit) -> None:
+    """Pass the text of obj to emit, in pieces; nl is a newline and the
+    indentation of the line on which obj starts."""
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            emit("{}")
             return
         inner = nl + "  "
         sep = "{" + inner
         # json sorts the (key, value) items too, so mixed key types raise alike
         for key, value in sorted(obj.items()):
-            out.append(sep + _key(key) + ": ")
-            _write(value, inner, out)
+            emit(sep + _key(key) + ": ")
+            _write(value, inner, emit)
             sep = "," + inner
-        out.append(nl + "}")
+        emit(nl + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
+            emit("[]")
             return
         inner = nl + "  "
         sep = "[" + inner
         for v in obj:
-            out.append(sep)
-            _write(v, inner, out)
+            emit(sep)
+            _write(v, inner, emit)
             sep = "," + inner
-        out.append(nl + "]")
+        emit(nl + "]")
     elif isinstance(obj, np.ndarray):
         kind = obj.dtype.kind
         if obj.ndim and obj.size and (kind in "iu" or kind == "f" and obj.dtype.itemsize <= 8):
-            _write_array(obj.view(np.ndarray), nl, out)
+            _write_array(obj.view(np.ndarray), nl, emit)
         else:
             # json's default: the base class's tolist, also for subclasses
-            _write(np.ndarray.tolist(obj), nl, out)
+            _write(np.ndarray.tolist(obj), nl, emit)
     else:
-        out.append(json.dumps(obj))
+        emit(json.dumps(obj))
 
 
 # elements per joined block; whole rows are joined, at least one per block
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _write_array(a: np.ndarray, nl: str, out: list[str]) -> None:
-    """Append the text of a non-empty integer or float array with ndim >= 1."""
+def _write_array(a: np.ndarray, nl: str, emit) -> None:
+    """Pass the text of a non-empty integer or float array with ndim >= 1 to
+    emit, one block of whole rows at a time."""
     texts, codes = _texts(a.reshape(-1))
     ndim = a.ndim
     inner = [nl + "  " * k for k in range(ndim + 1)]
@@ -186,10 +202,10 @@ def _write_array(a: np.ndarray, nl: str, out: list[str]) -> None:
     grid = codes.reshape(a.shape)  # a view: codes is a new contiguous array
     for j in range(1, ndim + 1):
         grid[(...,) + (-1,) * j] += 1  # at the last j axes' ends, one more
-    out.append("".join(opens))
+    emit("".join(opens))
     step = max(1, _BLOCK_ENTRIES // a.shape[-1]) * a.shape[-1]
     for start in range(0, a.size, step):
-        out.append("".join(pieces.take(codes[start : start + step]).tolist()))
+        emit("".join(pieces.take(codes[start : start + step]).tolist()))
 
 
 def _texts(flat: np.ndarray) -> tuple[list[str], np.ndarray]:

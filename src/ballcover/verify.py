@@ -362,6 +362,15 @@ def _norm_gradient(space: LpSpace, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _count(n, what: str) -> int:
+    # the one guard on sample counts and budgets, returning n as an int;
+    # phrased so that NaN and inf fail, as a non-integer does, where a bare
+    # `n < 1` lets them through
+    if not (1 <= n < math.inf and int(n) == n):
+        raise ValueError(f"{what} must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def _ascend(cov: BallCovering, restarts: int, steps: int, seeds):
     # projected subgradient ascent of min-center-distance over the unit
     # sphere, from `restarts` rows per seed stacked in seed order; returns
@@ -371,8 +380,7 @@ def _ascend(cov: BallCovering, restarts: int, steps: int, seeds):
     # seed's rows come out as from an ascent of their own; only the p = 2 and
     # 4 selection score is a BLAS product, whose rounding may depend on the
     # rows beside it, and that can only change the pick within a tie.
-    if restarts < 1 or steps < 1:
-        raise ValueError("restarts and steps must be positive")
+    restarts, steps = _count(restarts, "restarts"), _count(steps, "steps")
     space, centers = cov.space, cov.centers
     # a C-ordered copy to gather rows from, as take copies all of an
     # F-ordered array (the frame covers'); the query keeps the cover's own
@@ -419,7 +427,8 @@ def adversarial_search(
     in coordinate order as cdist sums it; from 8 coordinates on they can
     differ in the last bit, so neither replaces the other without changing
     the path or the margins. A center too far for a finite distance gives
-    margin -inf, which fails, without a warning.
+    margin -inf, which fails, without a warning. A restarts or steps that is
+    not a positive integer is a ValueError, raised before any draw.
     """
     pts, vals = _ascend(cov, restarts, steps, [seed])
     i = int(np.argmax(vals))
@@ -560,14 +569,12 @@ def certify_maximality(dictionary: Dictionary, mu: float, n: int, seed: int) -> 
     the two-sided admission test: augmentation cannot repair the dictionary.
     n must be a positive integer.
     """
-    # phrased so that NaN and inf fail, as a non-integer does
-    if not (1 <= n < math.inf and int(n) == n):
-        raise ValueError(f"sample count must be a positive integer, got {n!r}")
+    n = _count(n, "sample count")
     core = _Admission(dictionary.space, mu, dictionary.vectors)
     rng = np.random.default_rng(seed)
     clean = 0
     while clean < n:
-        count = int(min(_MAXIMALITY_BATCH, n - clean))
+        count = min(_MAXIMALITY_BATCH, n - clean)
         xs = sphere_from_rng(core.space, count, rng)
         fxs = core.functionals(xs)
         bad = np.nonzero(core.one_sided(fxs) <= mu)[0]
@@ -607,13 +614,11 @@ def harden_dictionary(
     read in round order; at the first round with a violation the later
     rounds are dropped and the next round starts on the augmented cover.
     This gives the rounds and the dictionary of running every round alone.
-    A clean_rounds, restarts or steps below 1 is a ValueError, raised
-    before any cover or draw.
+    A clean_rounds, restarts or steps that is not a positive integer (0,
+    -1, 1.5, NaN or inf) is a ValueError, raised before any cover or draw.
     """
-    if clean_rounds < 1:
-        raise ValueError(f"clean_rounds must be positive, got {clean_rounds}")
-    if restarts < 1 or steps < 1:
-        raise ValueError("restarts and steps must be positive")
+    clean_rounds = _count(clean_rounds, "clean_rounds")
+    restarts, steps = _count(restarts, "restarts"), _count(steps, "steps")
     core = _Admission(dictionary.space, mu, dictionary.vectors)
     clean = 0
     round_index = 0

@@ -31,6 +31,20 @@ def test_hadamard_order8(tmp_path):
     assert np.array_equal(h.T @ h, 8 * np.identity(8))
 
 
+def test_out_and_json_write_the_same_bytes(tmp_path, capsys):
+    # one pass per sink: the --out file and stdout each get the whole text
+    cover = tmp_path / "c.json"
+    assert main(["cover", "build", "--construction", "axis", "--d", "3", "--out", str(cover)]) == 0
+    capsys.readouterr()
+    verify = ["cover", "verify", "--in", str(cover), "--samples", "200", "--adversarial", "2", "--steps", "5"]
+    for argv in (["hadamard", "--order", "1024"], verify):
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out), "--json"]) == 0
+        text = out.read_bytes()
+        assert capsys.readouterr().out.encode() == text
+        assert text == dumps(json.loads(text)).encode()
+
+
 def test_hadamard_unavailable_order(capsys):
     # hadamard and etf share one order check, reported as one error line
     for argv in (["hadamard", "--order", "7"], ["etf", "--order", "1"]):
@@ -44,7 +58,7 @@ def test_hadamard_order_above_guard_fails_before_building(monkeypatch, tmp_path)
     def refuse(*args, **kwargs):
         raise AssertionError("an order above the guard must be refused before any matrix is built")
 
-    monkeypatch.setattr(np, "block", refuse)
+    monkeypatch.setattr(np, "empty", refuse)
     monkeypatch.setattr("ballcover.hadamard._gram", refuse)
     out = tmp_path / "h.json"
     assert main(["hadamard", "--order", "16384", "--out", str(out)]) == 1
@@ -153,7 +167,8 @@ def test_cover_verify_refuses_a_negative_ascent_budget(tmp_path, capsys, budget)
     assert main(["cover", "verify", "--in", str(cover_path), "--samples", "200", *budget, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: restarts and steps must be positive\n"
+    what = {"--adversarial": "restarts", "--steps": "steps"}[budget[-2]]
+    assert captured.err == f"error: {what} must be a positive integer, got {budget[-1]}\n"
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import sys
@@ -20,6 +21,7 @@ from ballcover.serialize import (
     covering_to_dict,
     dictionary_from_dict,
     dictionary_to_dict,
+    dump,
     dumps,
     space_from_dict,
     space_to_dict,
@@ -91,6 +93,20 @@ def _reference(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
+def _dump_text(obj) -> str:
+    fh = io.StringIO()
+    dump(obj, fh)
+    return fh.getvalue()
+
+
+# the artefact text as a string, and streamed into a file
+_WRITERS = (dumps, _dump_text)
+
+
+def _written(obj) -> list[str]:
+    return [write(obj) for write in _WRITERS]
+
+
 # values that are equal under == but print differently, or print as NaN/Infinity
 _PITFALLS = [0.0, -0.0, 1, 1.0, True, False, math.nan, math.inf, -math.inf, 2**63, -(2**64) - 1, None]
 _STRINGS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n\t\x00", " ", "é", "日本", "\U0001f600"]))
@@ -128,7 +144,7 @@ _TREES = st.recursive(
 @given(obj=_TREES)
 def test_dumps_equals_json_indent(c_make_encoder, obj):
     with mock.patch.object(json.encoder, "c_make_encoder", c_make_encoder):
-        assert dumps(obj) == _reference(obj)
+        assert _written(obj) == [_reference(obj)] * 2
 
 
 # array leaves of every dtype dumps writes from the array, or through tolist
@@ -169,7 +185,7 @@ _ARRAY_TREES = st.recursive(
 @given(obj=_ARRAY_TREES)
 def test_dumps_equals_json_with_array_leaves(c_make_encoder, obj):
     with mock.patch.object(json.encoder, "c_make_encoder", c_make_encoder):
-        assert dumps(obj) == _reference(obj)
+        assert _written(obj) == [_reference(obj)] * 2
 
 
 @pytest.mark.parametrize(
@@ -186,14 +202,15 @@ def test_dumps_joins_rows_in_blocks(monkeypatch, a):
     whole = dumps({"a": a})
     # five entries a block: one row in each, rows of 7 overrun it
     monkeypatch.setattr(serialize, "_BLOCK_ENTRIES", 5)
-    assert dumps({"a": a}) == whole == _reference({"a": a})
+    assert _written({"a": a}) == [whole] * 2
+    assert whole == _reference({"a": a})
 
 
 def test_dumps_writes_subclasses_and_strided_arrays_as_json_does():
     masked = np.ma.masked_array([1.0, -0.0, 2.0], mask=[True, False, False])
     cases = [masked, np.arange(12).reshape(3, 4).T, np.arange(10.0)[::3], np.array([1.5, -2.0], dtype=">f8")]
     for a in cases:
-        assert dumps([a]) == _reference([a])
+        assert _written([a]) == [_reference([a])] * 2
 
 
 _GOLDEN = {
@@ -209,17 +226,16 @@ _GOLDEN = {
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_dumps_golden_payloads(name):
     obj = _GOLDEN[name]()
-    assert dumps(obj) == _reference(obj)
+    assert _written(obj) == [_reference(obj)] * 2
 
 
 @pytest.mark.parametrize(
     "obj", [{(1, 2): 0}, {1: 0, "a": 1}, [object()], {"a": {1, 2}}, [[1], np.int64(3)]]
 )
 def test_dumps_rejects_what_json_rejects(obj):
-    with pytest.raises(TypeError):
-        _reference(obj)
-    with pytest.raises(TypeError):
-        dumps(obj)
+    for write in (_reference, *_WRITERS):
+        with pytest.raises(TypeError):
+            write(obj)
 
 
 @pytest.mark.parametrize("kind", ["list", "dict"])
@@ -229,4 +245,14 @@ def test_dumps_nests_as_deep_as_json(kind):
     obj = 1
     for _ in range(sys.getrecursionlimit() // 2 + 100):
         obj = [obj] if kind == "list" else {"k": obj}
-    assert dumps(obj) == _reference(obj)
+    assert _written(obj) == [_reference(obj)] * 2
+
+
+def test_dump_streams_an_array_block_by_block():
+    # no piece holds the whole text: the order-1024 rows arrive in 16 blocks of 64 rows
+    obj = {"order": 1024, "rows": sylvester(10).entries}
+    pieces = []
+    dump(obj, mock.Mock(write=pieces.append))
+    text = "".join(pieces)
+    assert text == dumps(obj)
+    assert max(map(len, pieces)) < len(text) / 15

@@ -1145,20 +1145,38 @@ def test_harden_dictionary_matches_serial_rounds(p, mu, seed, keep, clean_rounds
     np.testing.assert_array_equal(hardened.vectors, ref_d.vectors)
 
 
+_BAD_COUNTS = [math.nan, math.inf, 1.5, 0, -1]
+
+
 def test_harden_dictionary_rejects_empty_budgets(monkeypatch):
+    # past a bare `< 1` check, NaN and 1.5 fail late with a TypeError and inf
+    # runs every round; each budget is refused before any cover or draw
     import ballcover.verify as verify
 
     d = Dictionary(space=LpSpace(2, 2.0), vectors=[[1.0, 0.0]])
+    builds = []
 
-    # every budget is refused before any cover is built or point drawn
     def no_draws(*args, **kwargs):
-        raise AssertionError("built a cover or drew sphere points before validating the budgets")
+        raise AssertionError("drew sphere points before validating the budgets")
 
     monkeypatch.setattr(verify, "sphere_from_rng", no_draws)
-    for restarts, steps in ((0, 10), (10, 0), (-1, 10)):
-        with pytest.raises(ValueError, match="restarts and steps must be positive"):
-            harden_dictionary(d, 0.5, no_draws, restarts=restarts, steps=steps)
-    # no clean round to certify after
-    for clean_rounds in (0, -3):
-        with pytest.raises(ValueError, match="clean_rounds must be positive"):
-            harden_dictionary(d, 0.5, no_draws, clean_rounds=clean_rounds)
+    for budget in ("clean_rounds", "restarts", "steps"):
+        for bad in _BAD_COUNTS:
+            with pytest.raises(ValueError, match=f"{budget} must be a positive integer"):
+                harden_dictionary(d, 0.5, builds.append, **{budget: bad})
+    assert builds == []
+
+
+def test_adversarial_search_rejects_a_bad_budget_before_drawing(monkeypatch):
+    import ballcover.verify as verify
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew sphere points before validating the budgets")
+
+    monkeypatch.setattr(verify, "sphere_from_rng", no_draws)
+    cov = axis_cover(2)[0]
+    for bad in _BAD_COUNTS:
+        with pytest.raises(ValueError, match="restarts must be a positive integer"):
+            adversarial_search(cov, bad, 10, 0)
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            adversarial_search(cov, 10, bad, 0)
