@@ -1,6 +1,10 @@
 """Coverage certification by seeded sampling and adversarial ascent,
 uncovered-point witnesses, the cube-vertex count argument for l_inf,
 empirical dictionary-maximality certification, and the dictionary pipeline.
+
+Dictionaries grow in one augmentation loop with two candidate sources:
+certify_maximality feeds it sampled counterexamples to maximality, and
+harden_dictionary the uncovered endpoints of adversarial ascent.
 """
 
 from __future__ import annotations
@@ -558,6 +562,32 @@ def linf_vertex_check(
     )
 
 
+def _augment(dictionary: Dictionary, mu: float, need: int, source) -> tuple[bool, Dictionary]:
+    # the one augmentation loop. source(core, clean count, rounds read) gives
+    # the next rounds, or None once its budget is spent. A round (weight,
+    # candidates) without candidates adds weight to the clean count, which
+    # certifies at need; else each candidate (x, F_x, its one-sided score as
+    # the round began), deepest first, is admitted while that score is <= mu.
+    core = _Admission(dictionary.space, mu, dictionary.vectors)
+    clean = read = 0
+    while (rounds := source(core, clean, read)) is not None:
+        for weight, candidates in rounds:
+            read += 1
+            if not candidates:
+                clean += weight
+                if clean >= need:
+                    return True, core.dictionary(dictionary.trials_used)
+                continue
+            clean, start = 0, len(core.vectors)
+            for x, fx, score in candidates:
+                if len(core.vectors) > start:  # scored before this round's admissions
+                    score = core.one_sided(fx[None, :])[0]
+                if score <= mu and not core.admit(x, fx):
+                    return False, core.dictionary(dictionary.trials_used)
+            break  # later stacked rounds ran before these admissions
+    return False, core.dictionary(dictionary.trials_used)
+
+
 def certify_maximality(dictionary: Dictionary, mu: float, n: int, seed: int) -> tuple[bool, Dictionary]:
     """Probe dictionary maximality on sphere samples, admitting counterexamples.
 
@@ -570,22 +600,26 @@ def certify_maximality(dictionary: Dictionary, mu: float, n: int, seed: int) -> 
     n must be a positive integer.
     """
     n = _count(n, "sample count")
-    core = _Admission(dictionary.space, mu, dictionary.vectors)
     rng = np.random.default_rng(seed)
-    clean = 0
-    while clean < n:
-        count = min(_MAXIMALITY_BATCH, n - clean)
-        xs = sphere_from_rng(core.space, count, rng)
+
+    def batch(core, clean, _):
+        # the batch's own score goes along: the row scored alone may round differently
+        xs = sphere_from_rng(core.space, min(_MAXIMALITY_BATCH, n - clean), rng)
         fxs = core.functionals(xs)
-        bad = np.nonzero(core.one_sided(fxs) <= mu)[0]
-        if bad.size == 0:
-            clean += count
-            continue
-        i = int(bad[0])
-        if not core.admit(xs[i], fxs[i]):
-            return False, core.dictionary(dictionary.trials_used)
-        clean = 0
-    return True, core.dictionary(dictionary.trials_used)
+        scores = core.one_sided(fxs)
+        return [(len(xs), [(xs[i], fxs[i], scores[i]) for i in np.flatnonzero(scores <= mu)[:1]])]
+
+    return _augment(dictionary, mu, n, batch)
+
+
+def _endpoints(core: _Admission, cov: BallCovering, stacked_pts: np.ndarray, stacked_vals: np.ndarray):
+    # the rounds of a stacked ascent for _augment, as they are read: each its
+    # violating endpoints on the unit sphere, deepest first
+    for pts, vals in zip(stacked_pts, stacked_vals):
+        violating = np.nonzero(~covered(cov, cov.radius - vals, ADVERSARIAL_TOL))[0]
+        xs = [pts[i] / norm(core.space, pts[i]) for i in violating[np.argsort(-vals[violating])]]
+        fxs = [core.functionals(x[None, :]) for x in xs]
+        yield 1, [(x, fx[0], core.one_sided(fx)[0]) for x, fx in zip(xs, fxs)]
 
 
 def harden_dictionary(
@@ -609,45 +643,25 @@ def harden_dictionary(
     consecutive rounds find no violation; returns (False, dictionary) if a
     violation is not admissible or 500 rounds pass without that.
 
-    A clean round leaves the cover as it is, so after one the rounds still
-    needed run as one ascent with their restarts stacked. Their results are
-    read in round order; at the first round with a violation the later
-    rounds are dropped and the next round starts on the augmented cover.
-    This gives the rounds and the dictionary of running every round alone.
+    After a clean round the rounds still needed run as one ascent, their
+    restarts stacked; the rounds after one with a violation are dropped, so
+    the rounds and the dictionary are those of running every round alone.
     A clean_rounds, restarts or steps that is not a positive integer (0,
     -1, 1.5, NaN or inf) is a ValueError, raised before any cover or draw.
     """
     clean_rounds = _count(clean_rounds, "clean_rounds")
     restarts, steps = _count(restarts, "restarts"), _count(steps, "steps")
-    core = _Admission(dictionary.space, mu, dictionary.vectors)
-    clean = 0
-    round_index = 0
-    while round_index < _HARDEN_MAX_ROUNDS:
-        current = core.dictionary(dictionary.trials_used)
-        cov = build_cover(current)
-        count = 1 if clean == 0 else min(clean_rounds - clean, _HARDEN_MAX_ROUNDS - round_index)
-        seeds = range(seed + round_index, seed + round_index + count)
-        all_pts, all_vals = _ascend(cov, restarts, steps, seeds)
-        for lo in range(0, count * restarts, restarts):
-            round_index += 1
-            pts, vals = all_pts[lo : lo + restarts], all_vals[lo : lo + restarts]
-            violating = np.nonzero(~covered(cov, cov.radius - vals, ADVERSARIAL_TOL))[0]
-            if violating.size == 0:
-                clean += 1
-                if clean >= clean_rounds:
-                    return True, current
-                continue
-            clean = 0
-            order = violating[np.argsort(-vals[violating])]
-            for i in order:
-                x = pts[i] / norm(core.space, pts[i])
-                fx = core.functionals(x[None, :])
-                if float(core.one_sided(fx)[0]) > mu:
-                    continue  # deepest endpoint already fixed this one's basin
-                if not core.admit(x, fx[0]):
-                    return False, core.dictionary(dictionary.trials_used)
-            break  # the later stacked rounds ran on the cover before these admissions
-    return False, core.dictionary(dictionary.trials_used)
+
+    def ascent(core, clean, read):
+        # one round, or after a clean round the rounds still needed, stacked
+        if read >= _HARDEN_MAX_ROUNDS:
+            return None
+        cov = build_cover(core.dictionary(dictionary.trials_used))
+        count = 1 if clean == 0 else min(clean_rounds - clean, _HARDEN_MAX_ROUNDS - read)
+        pts, vals = _ascend(cov, restarts, steps, range(seed + read, seed + read + count))
+        return _endpoints(core, cov, pts.reshape(count, restarts, -1), vals.reshape(count, restarts))
+
+    return _augment(dictionary, mu, clean_rounds, ascent)
 
 
 def certified_dictionary_cover(space: LpSpace, mu: float, seed: int, build_cover):

@@ -1007,6 +1007,63 @@ def test_certify_maximality_hard_failure_carries_dictionary(monkeypatch):
     assert float(np.max(np.abs(norming_coords(space, augmented.vectors) @ x))) > 0.5
 
 
+def _serial_maximality(dictionary, mu, n, seed):
+    # certify_maximality as a loop of its own: batches of min(1024, n - clean)
+    # samples, each admitting at most its first counterexample
+    from ballcover.dictionaries import _Admission
+
+    core = _Admission(dictionary.space, mu, dictionary.vectors)
+    rng = np.random.default_rng(seed)
+    clean = 0
+    while clean < n:
+        count = min(1024, n - clean)
+        xs = sphere_from_rng(core.space, count, rng)
+        fxs = core.functionals(xs)
+        bad = np.nonzero(core.one_sided(fxs) <= mu)[0]
+        if bad.size == 0:
+            clean += count
+            continue
+        i = int(bad[0])
+        if not core.admit(xs[i], fxs[i]):
+            return False, core.dictionary(dictionary.trials_used)
+        clean = 0
+    return True, core.dictionary(dictionary.trials_used)
+
+
+def _etf_dictionary():
+    frame = etf_from_hadamard(sylvester(2))
+    return Dictionary(LpSpace(frame.dim, 2.0), frame.matrix.T.copy())
+
+
+def _greedy_dictionary(d, p, mu, seed):
+    from ballcover.dictionaries import greedy_maximal_dictionary
+
+    return greedy_maximal_dictionary(LpSpace(d, p), mu, seed)
+
+
+# (dictionary, mu, samples, seed, verdict, whether the dictionary grows)
+_MAXIMALITY_CASES = [
+    (_etf_dictionary, 1.0 / 8.0, 10000, 54, True, False),  # no counterexample can appear
+    (lambda: Dictionary(LpSpace(2, 2.0), [[1.0, 0.0]]), 0.5, 100, 55, True, True),  # the obvious gap
+    # at d = 3 a batch holds counterexamples that stay admissible after its first
+    (lambda: Dictionary(LpSpace(3, 2.0), [[1.0, 0.0, 0.0]]), 0.5, 100, 55, True, True),
+    (lambda: _greedy_dictionary(8, 2.0, 0.4, 11), 0.4, 20000, 12, True, True),
+    (lambda: _greedy_dictionary(8, 4.0, 0.5, 21), 0.5, 50000, 22, False, False),  # a refused admission
+]
+
+
+@pytest.mark.parametrize(
+    "make, mu, n, seed, verdict, grows", _MAXIMALITY_CASES, ids=["etf", "gap", "gap-d3", "l2-greedy", "l4-refused"]
+)
+def test_certify_maximality_matches_the_serial_loop(make, mu, n, seed, verdict, grows):
+    d = make()
+    ref_ok, ref_d = _serial_maximality(d, mu, n, seed)
+    assert (ref_ok, len(ref_d) > len(d)) == (verdict, grows)
+    ok, augmented = certify_maximality(d, mu, n, seed)
+    assert ok == ref_ok
+    assert augmented.vectors.tobytes() == ref_d.vectors.tobytes()
+
+
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_admission_leaves_the_input_vectors_unchanged(p):
     # the admission core may start from a view of the input's vectors; an
